@@ -27,6 +27,16 @@ _KINDS = {
     "hooked": core.SequenceKind.HOOKED,
 }
 
+# Each takes (m, d, **search flags); only hooked sequences use d.
+_SEQUENCE_SEARCH = {
+    core.SequenceKind.SKOLEM:
+        lambda m, d, **kw: search.search_skolem(m, **kw),
+    core.SequenceKind.HOOKED_SKOLEM:
+        lambda m, d, **kw: search.search_hooked_skolem(m, **kw),
+    core.SequenceKind.HOOKED:
+        lambda m, d, **kw: search.search_hooked_sequence(d, m, **kw),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -156,18 +166,12 @@ def _cmd_verify(args) -> int:
             return EXIT_DATA
         report = verify.verify_pair_system(ps, k, d)
     else:
-        kind = _KINDS[args.kind]
         try:
-            s = core.parse_sequence(args.seq, kind=kind, d=args.d)
+            s = core.parse_sequence(args.seq, kind=_KINDS[args.kind], d=args.d)
         except core.ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        if kind is core.SequenceKind.SKOLEM:
-            report = verify.verify_skolem_sequence(s)
-        elif kind is core.SequenceKind.HOOKED_SKOLEM:
-            report = verify.verify_hooked_skolem_sequence(s)
-        else:
-            report = verify.verify_hooked_sequence(s, args.d)
+        report = verify.verify_sequence(s)
     print(report.to_text())
     return EXIT_OK if report.valid else EXIT_INVALID
 
@@ -185,39 +189,25 @@ def _print_outcome(outcome, mode, render) -> None:
 
 
 def _cmd_search(args) -> int:
-    try:
-        if args.target == "nk2":
-            outcome = search.search_nk2(args.n, args.k, args.d, args.mode,
-                                        limit=args.limit, jobs=args.jobs,
-                                        force=args.force)
-            render = core.format_pairs
-        elif args.target == "graph":
-            try:
-                g = load_edge_list(Path(args.edges).read_text())
-            except (OSError, core.ParseError, core.DomainError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_DATA
-            if args.p is not None and args.p != g.p:
-                print(f"error: --p {args.p} != file p {g.p}", file=sys.stderr)
-                return EXIT_DATA
-            outcome = search.search_graph(g, args.k, args.d, args.mode,
-                                          limit=args.limit, jobs=args.jobs,
-                                          force=args.force)
-            render = lambda f: " ".join(str(x) for x in f.labels)
-        else:
-            kind = _KINDS[args.kind]
-            kwargs = dict(mode=args.mode, limit=args.limit, jobs=args.jobs,
-                          force=args.force)
-            if kind is core.SequenceKind.SKOLEM:
-                outcome = search.search_skolem(args.m, **kwargs)
-            elif kind is core.SequenceKind.HOOKED_SKOLEM:
-                outcome = search.search_hooked_skolem(args.m, **kwargs)
-            else:
-                outcome = search.search_hooked_sequence(args.d, args.m, **kwargs)
-            render = core.format_sequence
-    except search.BoundExceeded as exc:
-        print(f"error: {exc} (use --force to override)", file=sys.stderr)
-        return EXIT_BOUND
+    kwargs = dict(mode=args.mode, limit=args.limit, jobs=args.jobs,
+                  force=args.force)
+    if args.target == "nk2":
+        outcome = search.search_nk2(args.n, args.k, args.d, **kwargs)
+        render = core.format_pairs
+    elif args.target == "graph":
+        try:
+            g = load_edge_list(Path(args.edges).read_text())
+        except (OSError, core.ParseError, core.DomainError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        if args.p is not None and args.p != g.p:
+            print(f"error: --p {args.p} != file p {g.p}", file=sys.stderr)
+            return EXIT_DATA
+        outcome = search.search_graph(g, args.k, args.d, **kwargs)
+        render = lambda f: " ".join(str(x) for x in f.labels)
+    else:
+        outcome = _SEQUENCE_SEARCH[_KINDS[args.kind]](args.m, args.d, **kwargs)
+        render = core.format_sequence
     _print_outcome(outcome, args.mode, render)
     return EXIT_OK
 
@@ -227,9 +217,6 @@ def _cmd_survey(args) -> int:
         rows = search.survey_nk2(range(1, args.n_max + 1), args.k, args.d,
                                  search_up_to=args.search_up_to,
                                  jobs=args.jobs, force=args.force)
-    except search.BoundExceeded as exc:
-        print(f"error: {exc} (use --force to override)", file=sys.stderr)
-        return EXIT_BOUND
     except search.ContradictionDetected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
@@ -283,7 +270,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    return _DISPATCH[args.command](args)
+    try:
+        return _DISPATCH[args.command](args)
+    except search.BoundExceeded as exc:
+        print(f"error: {exc} (use --force to override)", file=sys.stderr)
+        return EXIT_BOUND
+    except core.DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -331,15 +331,22 @@ def pair_system_to_json(ps: PairSystem, k: int, d: int) -> str:
     return json.dumps(record)
 
 
+def _json_int(value) -> int:
+    # bool is an int subclass, and int() would silently truncate a float.
+    if type(value) is not int:
+        raise ParseError(f"{value!r} is not an integer")
+    return value
+
+
 def pair_system_from_json(text: str) -> tuple[PairSystem, int, int]:
     try:
         record = json.loads(text)
-        n = int(record["n"])
-        k = int(record["k"])
-        d = int(record["d"])
-        pairs = tuple((int(a), int(b)) for a, b in record["pairs"])
+        n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))
+        pairs = tuple((_json_int(a), _json_int(b)) for a, b in record["pairs"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad pair-system record: {exc}") from exc
+    if k < 1 or d < 1:
+        raise ParseError(f"record needs positive k and d, got k={k}, d={d}")
     ps = PairSystem(pairs)
     if ps.n != n:
         raise ParseError(f"record says n={n} but has {ps.n} pairs")

@@ -1,15 +1,21 @@
 """Exhaustive backtracking search for labelings and Skolem-type sequences.
 
-Each engine enumerates in a fixed canonical order:
+nK2 pair systems, Skolem, hooked Skolem and hooked sequences are one
+problem: partition a set of positions into pairs whose differences are a
+given set.  One pair-partition engine solves all four on a (free-position
+bitmask, unused-difference bitmask) state.  It pairs the lowest free
+position a with a + r for each unused difference r in ascending order, so
+solutions come out in a fixed canonical order:
 
-* nK2 pair systems: pairs are emitted sorted by smaller element (the search
-  always extends from the smallest free label, trying differences
-  ascending), and solution lists compare lexicographically.
-* general graphs: label vectors in lexicographic order.
+* nK2 pair systems: pairs are emitted sorted by smaller element, and
+  solution lists compare lexicographically.
 * sequences: entry tuples in lexicographic order (leftmost empty slot filled
   first, values ascending).
 
-With jobs > 1 the root branching factor is split across worker processes
+A second engine labels the vertices of a general graph one by one and emits
+label vectors in lexicographic order.
+
+With jobs > 1 the choices at the root are split across worker processes
 and the per-root results are merged back in root order, so existence,
 counts, the first solution, and enumeration order are identical to serial
 execution; only node statistics may differ.
@@ -17,6 +23,7 @@ execution; only node statistics may differ.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -64,9 +71,13 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def _stop_for(mode: str, limit: int | None) -> int | None:
+def _stop_for(mode: str, limit: int | None, jobs: int) -> int | None:
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    if limit is not None and limit < 1:
+        raise DomainError(f"limit must be positive, got {limit}")
+    if jobs < 1:
+        raise DomainError(f"jobs must be positive, got {jobs}")
     if mode in ("exists", "first"):
         return 1
     if mode == "enumerate":
@@ -83,78 +94,88 @@ def _outcome(mode: str, sols: list, nodes: int, t0: float, wrap) -> SearchOutcom
     return SearchOutcome(bool(sols), None, [wrap(s) for s in sols], stats)
 
 
-def _merge_roots(results, stop):
+def _worker_count(jobs: int, tasks: int) -> int:
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+def _run_roots(solve, args, roots, jobs, stop):
+    """Run solve(args + (None,)) serially, or solve(args + (root,)) for each
+    root choice across worker processes, merged in root order.  roots may
+    be lazy: the serial path never reads it."""
+    if jobs == 1:
+        return solve((*args, None))
+    tasks = [(*args, root) for root in roots]
+    if not tasks:
+        return [], 0
+    with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
+        results = list(pool.map(solve, tasks))
     sols: list = []
     nodes = 0
     for part, part_nodes in results:
         nodes += part_nodes
-        if stop is None or len(sols) < stop:
-            sols.extend(part)
-    if stop is not None:
-        sols = sols[:stop]
-    return sols, nodes
+        sols.extend(part)
+    return (sols if stop is None else sols[:stop]), nodes
 
 
 # ---------------------------------------------------------------------------
-# nK2: partition {1..2n-1, 2n+1} into pairs with prescribed differences
+# pair partitions: nK2 labelings and Skolem-type sequences
 # ---------------------------------------------------------------------------
 
-def _nk2_rec(avail, top, start, needed, acc, out, stop, prune, counter) -> bool:
+def _pair_rec(free, diffs, acc, out, stop, prune, counter) -> bool:
+    # acc is flat (a1, b1, a2, b2, ...): count mode keeps every solution, and
+    # a flat tuple of small ints takes a third of the memory of nested pairs.
     counter[0] += 1
-    a = start
-    while a <= top and not avail[a]:
-        a += 1
-    if a > top:
+    if not free:
         out.append(tuple(acc))
         return stop is not None and len(out) >= stop
-    if prune and needed:
-        hi = top
-        while not avail[hi]:
-            hi -= 1
-        if max(needed) > hi - a:
-            return False
-    avail[a] = False
-    done = False
-    for diff in sorted(needed):
-        b = a + diff
-        if b <= top and avail[b]:
-            avail[b] = False
-            needed.remove(diff)
-            acc.append((a, b))
-            done = _nk2_rec(avail, top, a + 1, needed, acc, out, stop, prune, counter)
-            acc.pop()
-            needed.add(diff)
-            avail[b] = True
-            if done:
-                break
-    avail[a] = True
-    return done
+    low = free & -free
+    a = low.bit_length() - 1
+    # highest unused difference > highest free position - a
+    if prune and diffs.bit_length() > free.bit_length() - a:
+        return False
+    rest = free ^ low
+    cand = (rest >> a) & diffs
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        acc += (a, a + bit.bit_length() - 1)
+        done = _pair_rec(rest ^ (bit << a), diffs ^ bit, acc, out, stop, prune, counter)
+        del acc[-2:]
+        if done:
+            return True
+    return False
 
 
-def _nk2_state(n: int, k: int, d: int):
-    top = 2 * n + 1
-    avail = [False] * (top + 1)
-    for v in range(1, 2 * n):
-        avail[v] = True
-    avail[top] = True
-    return avail, top, set(edge_target_set(k, d, n))
+def _pair_roots(free: int, diffs: int):
+    """Differences that can pair the lowest free position, ascending."""
+    a = (free & -free).bit_length() - 1
+    cand = ((free & (free - 1)) >> a) & diffs
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        yield bit.bit_length() - 1
 
 
-def _nk2_solve(args):
-    n, k, d, stop, prune, first_diff = args
-    avail, top, needed = _nk2_state(n, k, d)
+def _pair_solve(args):
+    free, diffs, stop, prune, root = args
+    acc: list = []
+    if root is not None:
+        a = (free & -free).bit_length() - 1
+        free ^= (1 << a) | (1 << (a + root))
+        diffs ^= 1 << root
+        acc += (a, a + root)
     counter = [0]
     out: list = []
-    acc: list = []
-    if first_diff is None:
-        _nk2_rec(avail, top, 1, needed, acc, out, stop, prune, counter)
-    else:
-        b = 1 + first_diff
-        avail[1] = avail[b] = False
-        needed.remove(first_diff)
-        acc.append((1, b))
-        _nk2_rec(avail, top, 2, needed, acc, out, stop, prune, counter)
+    _pair_rec(free, diffs, acc, out, stop, prune, counter)
     return out, counter[0]
+
+
+def _search_pairs(free, diffs, mode, limit, jobs, prune, wrap) -> SearchOutcome:
+    t0 = time.perf_counter()
+    stop = _stop_for(mode, limit, jobs)
+    sols, nodes = _run_roots(_pair_solve, (free, diffs, stop, prune),
+                             _pair_roots(free, diffs), jobs, stop)
+    return _outcome(mode, sols, nodes, t0, wrap)
 
 
 def search_nk2(
@@ -173,87 +194,28 @@ def search_nk2(
         raise DomainError("n, k, d must be positive")
     if n > bound and not force:
         raise BoundExceeded(f"n={n} exceeds bound {bound}")
-    t0 = time.perf_counter()
-    stop = _stop_for(mode, limit)
-    if jobs <= 1:
-        sols, nodes = _nk2_solve((n, k, d, stop, prune, None))
-    else:
-        _, top, needed = _nk2_state(n, k, d)
-        roots = [diff for diff in sorted(needed)
-                 if 1 + diff <= top and 1 + diff != 2 * n]
-        tasks = [(n, k, d, stop, prune, diff) for diff in roots]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_nk2_solve, tasks))
-        sols, nodes = _merge_roots(results, stop)
-    return _outcome(mode, sols, nodes, t0, PairSystem)
-
-
-# ---------------------------------------------------------------------------
-# Skolem-type sequences
-# ---------------------------------------------------------------------------
-
-_EMPTY = 0
-_HOOK_SLOT = -1
-
-
-def _seq_rec(seq, length, start, unused, out, stop, prune, counter) -> bool:
-    counter[0] += 1
-    i = start
-    while i < length and seq[i] != _EMPTY:
-        i += 1
-    if i == length:
-        out.append(tuple(HOOK if x == _HOOK_SLOT else x for x in seq))
-        return stop is not None and len(out) >= stop
-    if prune and unused and max(unused) > length - 1 - i:
-        return False
-    done = False
-    for r in sorted(unused):
-        j = i + r
-        if j < length and seq[j] == _EMPTY:
-            seq[i] = seq[j] = r
-            unused.remove(r)
-            done = _seq_rec(seq, length, i + 1, unused, out, stop, prune, counter)
-            unused.add(r)
-            seq[i] = seq[j] = _EMPTY
-            if done:
-                break
-    return done
-
-
-def _seq_solve(args):
-    length, values, hook_index, stop, prune, first_value = args
-    seq = [_EMPTY] * length
-    if hook_index is not None:
-        seq[hook_index] = _HOOK_SLOT
-    unused = set(values)
-    counter = [0]
-    out: list = []
-    if first_value is None:
-        _seq_rec(seq, length, 0, unused, out, stop, prune, counter)
-    else:
-        j = first_value  # partner of position 0 (0-based index = value)
-        seq[0] = seq[j] = first_value
-        unused.remove(first_value)
-        _seq_rec(seq, length, 1, unused, out, stop, prune, counter)
-    return out, counter[0]
+    free = ((1 << 2 * n) - 2) | (1 << (2 * n + 1))  # {1..2n-1, 2n+1}
+    diffs = sum(1 << diff for diff in edge_target_set(k, d, n))
+    return _search_pairs(free, diffs, mode, limit, jobs, prune,
+                         lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
 
 
 def _search_sequence(
-    length, values, hook_index, kind, d, mode, limit, jobs, prune
+    length, m, hook_index, kind, d, mode, limit, jobs, prune
 ) -> SearchOutcome:
-    t0 = time.perf_counter()
-    stop = _stop_for(mode, limit)
-    if jobs <= 1:
-        sols, nodes = _seq_solve((length, values, hook_index, stop, prune, None))
-    else:
-        roots = [r for r in sorted(values)
-                 if r < length and r != hook_index]
-        tasks = [(length, values, hook_index, stop, prune, r) for r in roots]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_seq_solve, tasks))
-        sols, nodes = _merge_roots(results, stop)
-    return _outcome(mode, sols, nodes, t0,
-                    lambda entries: SequenceForm(kind, entries, d=d))
+    """Slots 0..length-1 but the hook; values d..d+m-1.  The pair (a, b)
+    puts b - a in both slots."""
+    def wrap(flat):
+        entries = [HOOK] * length
+        for a, b in zip(flat[::2], flat[1::2]):
+            entries[a] = entries[b] = b - a
+        return SequenceForm(kind, entries, d=d)
+
+    free = (1 << length) - 1
+    if hook_index is not None:
+        free ^= 1 << hook_index
+    values = ((1 << m) - 1) << d
+    return _search_pairs(free, values, mode, limit, jobs, prune, wrap)
 
 
 def _check_seq_bound(m: int, bound: int, force: bool):
@@ -269,7 +231,7 @@ def search_skolem(
 ) -> SearchOutcome:
     """Skolem sequences of order m (reversals count as distinct)."""
     _check_seq_bound(m, bound, force)
-    return _search_sequence(2 * m, list(range(1, m + 1)), None,
+    return _search_sequence(2 * m, m, None,
                             SequenceKind.SKOLEM, 1, mode, limit, jobs, prune)
 
 
@@ -279,7 +241,7 @@ def search_hooked_skolem(
 ) -> SearchOutcome:
     """Hooked Skolem sequences of order m (hook fixed at position 2m)."""
     _check_seq_bound(m, bound, force)
-    return _search_sequence(2 * m + 1, list(range(1, m + 1)), 2 * m - 1,
+    return _search_sequence(2 * m + 1, m, 2 * m - 1,
                             SequenceKind.HOOKED_SKOLEM, 1, mode, limit, jobs, prune)
 
 
@@ -291,7 +253,7 @@ def search_hooked_sequence(
     if d < 1:
         raise DomainError("d must be positive")
     _check_seq_bound(m, bound, force)
-    return _search_sequence(2 * m + 1, list(range(d, d + m)), 2 * m - 1,
+    return _search_sequence(2 * m + 1, m, 2 * m - 1,
                             SequenceKind.HOOKED, d, mode, limit, jobs, prune)
 
 
@@ -368,18 +330,11 @@ def search_graph(
     if g.p > bound and not force:
         raise BoundExceeded(f"p={g.p} exceeds bound {bound}")
     t0 = time.perf_counter()
+    stop = _stop_for(mode, limit, jobs)
     if not size_necessary(g.p, g.q):
-        return SearchOutcome(False, 0 if mode == "count" else None, [],
-                             SearchStats(0, time.perf_counter() - t0))
-    stop = _stop_for(mode, limit)
-    if jobs <= 1:
-        sols, nodes = _graph_solve((g.p, g.edges, k, d, stop, None))
-    else:
-        roots = sorted(target_label_set(g.p))
-        tasks = [(g.p, g.edges, k, d, stop, lab) for lab in roots]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_graph_solve, tasks))
-        sols, nodes = _merge_roots(results, stop)
+        return _outcome(mode, [], 0, t0, VertexLabeling)
+    sols, nodes = _run_roots(_graph_solve, (g.p, g.edges, k, d, stop),
+                             sorted(target_label_set(g.p)), jobs, stop)
     return _outcome(mode, sols, nodes, t0, VertexLabeling)
 
 

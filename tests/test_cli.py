@@ -65,6 +65,15 @@ class TestVerify:
         code, _, err = run_cli("verify", "labeling", "--file", "/nonexistent.json")
         assert code == 65
 
+    @pytest.mark.parametrize("pairs, k", [([[1.9, 3.2]], 2), ([[1, 3]], 0),
+                                          ([[1, 3]], True)])
+    def test_bad_labeling_record(self, tmp_path, pairs, k):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "k": k, "d": 1, "pairs": pairs}))
+        code, out, err = run_cli("verify", "labeling", "--file", str(path))
+        assert code == 65
+        assert out == "" and "Traceback" not in err
+
     def test_bad_sequence_text(self):
         code, _, _ = run_cli("verify", "sequence", "--kind", "skolem",
                              "--seq", "1 x 1")
@@ -106,6 +115,28 @@ class TestSearch:
         code, out, _ = run_cli("search", "nk2", "--n", "11", "--k", "2",
                                "--d", "1", "--mode", "exists", "--force")
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("nk2", "--n", "0", "--k", "2", "--d", "1"),
+        ("sequence", "--kind", "skolem", "--m", "0"),
+        ("sequence", "--kind", "hooked", "--m", "3", "--d", "0"),
+        ("nk2", "--n", "5", "--k", "2", "--d", "1", "--mode", "enumerate",
+         "--limit", "0"),
+        ("nk2", "--n", "5", "--k", "2", "--d", "1", "--mode", "enumerate",
+         "--limit", "-1"),
+        ("nk2", "--n", "5", "--k", "2", "--d", "1", "--jobs", "0"),
+    ])
+    def test_bad_search_values_are_usage_errors(self, argv):
+        code, out, err = run_cli("search", *argv)
+        assert code == 64
+        assert out == "" and err.startswith("error: ")
+
+    def test_sequence_output_identical_across_jobs(self):
+        argv = ("search", "sequence", "--kind", "hooked", "--m", "6", "--d", "3",
+                "--mode", "enumerate")
+        serial = run_cli(*argv)
+        assert serial[0] == 0 and "*" in serial[1]
+        assert run_cli(*argv, "--jobs", "2") == serial
 
     def test_graph_search(self, tmp_path):
         path = tmp_path / "p3.edges"

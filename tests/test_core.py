@@ -170,6 +170,18 @@ class TestParseFormat:
         with pytest.raises(ParseError):
             parse_sequence("   ")
 
+    @pytest.mark.parametrize("record", [
+        '{"n": 1, "k": 2, "d": 1, "pairs": [[1.9, 3.2]]}',
+        '{"n": 1, "k": true, "d": 1, "pairs": [[1, 3]]}',
+        '{"n": 1, "k": 2, "d": 1, "pairs": [[1, "3"]]}',
+        '{"n": 1.0, "k": 2, "d": 1, "pairs": [[1, 3]]}',
+        '{"n": 1, "k": 0, "d": 1, "pairs": [[1, 3]]}',
+        '{"n": 1, "k": 2, "d": -1, "pairs": [[1, 3]]}',
+    ])
+    def test_json_rejects_bad_values(self, record):
+        with pytest.raises(ParseError):
+            pair_system_from_json(record)
+
 
 @st.composite
 def pair_systems(draw):

@@ -3,6 +3,7 @@ import pytest
 from hskolem import (
     HOOK,
     BoundExceeded,
+    DomainError,
     Graph,
     expected_cross_edges,
     hooked_sequence_necessary,
@@ -14,10 +15,12 @@ from hskolem import (
     search_hooked_skolem,
     search_nk2,
     search_skolem,
+    sequence_to_pairs,
     survey_nk2,
     verify_pair_system,
     verify_sequence,
 )
+from hskolem import search
 
 from oracles import nk2_solutions_brute, sequence_solutions_brute
 
@@ -65,6 +68,20 @@ class TestNk2:
         with pytest.raises(BoundExceeded):
             search_nk2(11, 2, 1)
         assert search_nk2(11, 2, 1, force=True).stats.nodes_expanded > 0
+
+    def test_node_count_pinned(self):
+        assert search_nk2(10, 2, 1, "count").stats.nodes_expanded == 227932
+
+    def test_same_as_hooked_sequence_search(self):
+        # A (k,1) labeling of nK2 and a hooked sequence with differences
+        # k..k+n-1 are the same pair partition of {1..2n-1, 2n+1}.
+        for n in range(1, 8):
+            for k in range(1, 4):
+                labelings = [ps.pairs for ps in
+                             search_nk2(n, k, 1, "enumerate").solutions]
+                sequences = [tuple(sorted(sequence_to_pairs(s).pairs)) for s in
+                             search_hooked_sequence(k, n, "enumerate").solutions]
+                assert labelings == sequences
 
     def test_pruning_monotone(self):
         for n, k, d in [(6, 2, 1), (7, 2, 1), (5, 1, 1), (6, 1, 2)]:
@@ -198,6 +215,12 @@ class TestDeterminismAndParallel:
         assert (search_hooked_skolem(6, "count").count
                 == search_hooked_skolem(6, "count", jobs=4).count)
 
+    def test_hooked_sequence_identical_across_jobs(self):
+        for mode in ("first", "enumerate"):
+            serial = search_hooked_sequence(3, 6, mode)
+            parallel = search_hooked_sequence(3, 6, mode, jobs=2)
+            assert serial.solutions and parallel.solutions == serial.solutions
+
     def test_graph_across_jobs(self):
         g = Graph(4, ((1, 2), (3, 4)))
         a = search_graph(g, 2, 1, "enumerate")
@@ -225,3 +248,32 @@ class TestSurvey:
                 for row in survey_nk2(range(1, 7), k, d, search_up_to=6):
                     if row.exists:
                         assert nk2_parity_feasible(row.n, k, d)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("kwargs", [{"mode": "enumerate", "limit": 0},
+                                        {"mode": "enumerate", "limit": -1},
+                                        {"jobs": 0}, {"jobs": -2}])
+    def test_rejects_limit_and_jobs_below_one(self, kwargs):
+        with pytest.raises(DomainError):
+            search_nk2(5, 2, 1, **kwargs)
+        with pytest.raises(DomainError):
+            search_skolem(4, **kwargs)
+        with pytest.raises(DomainError):
+            search_graph(Graph(4, ((1, 2), (3, 4))), 2, 1, **kwargs)
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        assert search._worker_count(10**9, 7) == 4
+        assert search._worker_count(10**9, 3) == 3
+        assert search._worker_count(2, 7) == 2
+        assert search._worker_count(10**9, 0) == 0
+        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+        assert search._worker_count(10**9, 7) == 1
+
+    def test_no_roots_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        assert search._run_roots(None, (), [], 10**9, None) == ([], 0)
