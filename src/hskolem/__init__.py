@@ -30,7 +30,6 @@ from .core import (
     SequenceForm,
     SequenceKind,
     ShapeMismatch,
-    TargetParams,
     VertexLabeling,
     VerifyReport,
     edge_target_set,
@@ -44,6 +43,7 @@ from .core import (
     pairs_to_sequence,
     parse_pairs,
     parse_sequence,
+    sequence_shape,
     sequence_to_pairs,
     target_label_set,
 )
@@ -57,6 +57,7 @@ from .search import (
     search_hooked_sequence,
     search_hooked_skolem,
     search_nk2,
+    search_sequence,
     search_skolem,
     survey_nk2,
 )

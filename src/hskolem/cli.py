@@ -21,22 +21,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_CONTRADICTION = 70
 
-_KINDS = {
-    "skolem": core.SequenceKind.SKOLEM,
-    "hooked-skolem": core.SequenceKind.HOOKED_SKOLEM,
-    "hooked": core.SequenceKind.HOOKED,
-}
-
-# Each takes (m, d, **search flags); only hooked sequences use d.
-_SEQUENCE_SEARCH = {
-    core.SequenceKind.SKOLEM:
-        lambda m, d, **kw: search.search_skolem(m, **kw),
-    core.SequenceKind.HOOKED_SKOLEM:
-        lambda m, d, **kw: search.search_hooked_skolem(m, **kw),
-    core.SequenceKind.HOOKED:
-        lambda m, d, **kw: search.search_hooked_sequence(d, m, **kw),
-}
-
+_KINDS = {kind.value.replace("_", "-"): kind for kind in core.SequenceKind}
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -206,7 +191,7 @@ def _cmd_search(args) -> int:
         outcome = search.search_graph(g, args.k, args.d, **kwargs)
         render = lambda f: " ".join(str(x) for x in f.labels)
     else:
-        outcome = _SEQUENCE_SEARCH[_KINDS[args.kind]](args.m, args.d, **kwargs)
+        outcome = search.search_sequence(_KINDS[args.kind], args.m, args.d, **kwargs)
         render = core.format_sequence
     _print_outcome(outcome, args.mode, render)
     return EXIT_OK

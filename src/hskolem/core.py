@@ -84,24 +84,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class TargetParams:
-    """Arithmetic-progression edge-label target {k, k+d, ..., k+(q-1)d}."""
-
-    k: int
-    d: int
-    q: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.d < 1:
-            raise DomainError("k and d must be positive")
-        if self.q < 0:
-            raise DomainError("q must be non-negative")
-
-    def targets(self) -> list[int]:
-        return edge_target_set(self.k, self.d, self.q)
-
-
-@dataclass(frozen=True)
 class VertexLabeling:
     """labels[v-1] is the label of vertex v."""
 
@@ -159,10 +141,6 @@ class SequenceForm:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise DomainError("empty sequence")
-
-    @property
-    def order(self) -> int:
-        return len(self.entries) // 2
 
     def value_positions(self) -> dict[int, list[int]]:
         """1-based positions of each integer value."""
@@ -231,27 +209,32 @@ def pair_system_labeling(ps: PairSystem) -> tuple[Graph, VertexLabeling]:
     return nk2_graph(ps.n), VertexLabeling(tuple(labels))
 
 
-def _required_positions(kind: SequenceKind, m: int) -> set[int]:
+def sequence_shape(kind: SequenceKind, m: int, d: int = 1) -> tuple[int, int | None, int]:
+    """(length, hook, least) of a sequence of order m: it fills positions
+    1..length except the 1-based hook position (None for Skolem sequences)
+    with the values least..least+m-1.  least is d for hooked sequences and
+    1 for both Skolem kinds."""
     if kind is SequenceKind.SKOLEM:
-        return set(range(1, 2 * m + 1))
-    return set(range(1, 2 * m)) | {2 * m + 1}
+        return 2 * m, None, 1
+    if kind is SequenceKind.HOOKED_SKOLEM:
+        return 2 * m + 1, 2 * m, 1
+    if d < 1:
+        raise DomainError(f"d must be positive, got {d}")
+    return 2 * m + 1, 2 * m, d
 
 
 def pairs_to_sequence(ps: PairSystem, kind: SequenceKind, d: int = 1) -> SequenceForm:
     """Place value b-a at positions a and b; hooked kinds hook position 2m."""
-    m = ps.n
-    required = _required_positions(kind, m)
+    length, hook, least = sequence_shape(kind, ps.n, d)
+    required = set(range(1, length + 1)) - {hook}
     if set(ps.values()) != required:
         raise PositionSetMismatch(
             f"pair values {sorted(ps.values())} != positions {sorted(required)}"
         )
-    length = 2 * m if kind is SequenceKind.SKOLEM else 2 * m + 1
-    entries: list = [None] * length
+    entries: list = [HOOK] * length
     for a, b in ps.pairs:
         entries[a - 1] = entries[b - 1] = b - a
-    if kind is not SequenceKind.SKOLEM:
-        entries[2 * m - 1] = HOOK
-    return SequenceForm(kind, tuple(entries), d=d if kind is SequenceKind.HOOKED else 1)
+    return SequenceForm(kind, tuple(entries), d=least)
 
 
 def sequence_to_pairs(s: SequenceForm) -> PairSystem:
@@ -268,29 +251,23 @@ def format_sequence(s: SequenceForm) -> str:
     return " ".join("*" if x is HOOK else str(x) for x in s.entries)
 
 
-def _infer_kind(entries: tuple, d: int | None) -> tuple[SequenceKind, int]:
-    has_hook = any(x is HOOK for x in entries)
-    values = [x for x in entries if x is not HOOK]
-    if not has_hook:
-        return SequenceKind.SKOLEM, 1
-    if d is not None:
-        return (SequenceKind.HOOKED, d) if d != 1 else (SequenceKind.HOOKED_SKOLEM, 1)
-    vmin = min(values) if values else 1
-    if vmin == 1:
-        return SequenceKind.HOOKED_SKOLEM, 1
-    return SequenceKind.HOOKED, vmin
-
-
 def parse_sequence(
     text: str, kind: SequenceKind | None = None, d: int | None = None
 ) -> SequenceForm:
-    """Parse space-separated tokens, or a compact digit string when every
-    value is a single digit.  "*" and "0" both denote the hook."""
+    """Parse space-separated tokens, where "*" and "0" both denote the hook,
+    or one compact string of the digits 1-9 and "*".  d defaults to the
+    least value of a hooked sequence; kind defaults to Skolem without a
+    hook, else to hooked Skolem when d is 1 and to hooked otherwise."""
     tokens = text.split()
     if not tokens:
         raise ParseError("empty sequence text")
     if len(tokens) == 1 and len(tokens[0]) > 1:
-        tokens = list(tokens[0])  # compact form
+        compact = tokens[0]
+        if "0" in compact:
+            raise ParseError(f"compact sequence {compact!r} holds 0; write the hook as *")
+        if not all(ch == "*" or "1" <= ch <= "9" for ch in compact):
+            raise ParseError(f"bad compact sequence {compact!r}")
+        tokens = list(compact)
     entries: list = []
     for tok in tokens:
         if tok == "*":
@@ -300,12 +277,16 @@ def parse_sequence(
             entries.append(HOOK if value == 0 else value)
         else:
             raise ParseError(f"bad token {tok!r}")
+    hooked = any(x is HOOK for x in entries)
+    if d is None:  # a hooked sequence's least value
+        d = min((x for x in entries if x is not HOOK), default=1) if hooked else 1
     if kind is None:
-        kind, d_inferred = _infer_kind(tuple(entries), d)
-        d = d_inferred
-    elif d is None:
-        d = _infer_kind(tuple(entries), None)[1] if kind is SequenceKind.HOOKED else 1
-    return SequenceForm(kind, tuple(entries), d=d if kind is SequenceKind.HOOKED else 1)
+        if not hooked:
+            kind = SequenceKind.SKOLEM
+        else:
+            kind = SequenceKind.HOOKED_SKOLEM if d == 1 else SequenceKind.HOOKED
+    least = sequence_shape(kind, len(entries) // 2, d)[2]
+    return SequenceForm(kind, tuple(entries), d=least)
 
 
 def format_pairs(ps: PairSystem) -> str:

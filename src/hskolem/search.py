@@ -3,9 +3,11 @@
 nK2 pair systems, Skolem, hooked Skolem and hooked sequences are one
 problem: partition a set of positions into pairs whose differences are a
 given set.  One pair-partition engine solves all four on a (free-position
-bitmask, unused-difference bitmask) state.  It pairs the lowest free
-position a with a + r for each unused difference r in ascending order, so
-solutions come out in a fixed canonical order:
+bitmask, unused-difference bitmask) state: search_nk2 builds the masks of a
+pair system, and search_sequence those of every sequence kind from
+core.sequence_shape.  The engine pairs the lowest free position a with
+a + r for each unused difference r in ascending order, so solutions come
+out in a fixed canonical order:
 
 * nK2 pair systems: pairs are emitted sorted by smaller element, and
   solution lists compare lexicographically.
@@ -38,6 +40,7 @@ from .core import (
     SequenceKind,
     VertexLabeling,
     edge_target_set,
+    sequence_shape,
     target_label_set,
 )
 
@@ -71,27 +74,33 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def _stop_for(mode: str, limit: int | None, jobs: int) -> int | None:
+def _stop_for(mode: str, limit: int | None, jobs: int) -> tuple[int | None, bool]:
+    """(stop, keep): stop after this many solutions (None: exhaust), and
+    whether to keep the solutions or only count them."""
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     if limit is not None and limit < 1:
         raise DomainError(f"limit must be positive, got {limit}")
     if jobs < 1:
         raise DomainError(f"jobs must be positive, got {jobs}")
-    if mode in ("exists", "first"):
-        return 1
-    if mode == "enumerate":
-        return limit
-    return None  # count: exhaust
-
-
-def _outcome(mode: str, sols: list, nodes: int, t0: float, wrap) -> SearchOutcome:
-    stats = SearchStats(nodes, time.perf_counter() - t0)
     if mode == "exists":
-        return SearchOutcome(bool(sols), None, [], stats)
-    if mode == "count":
-        return SearchOutcome(bool(sols), len(sols), [], stats)
-    return SearchOutcome(bool(sols), None, [wrap(s) for s in sols], stats)
+        return 1, False
+    if mode == "first":
+        return 1, True
+    if mode == "enumerate":
+        return limit, True
+    return None, False  # count: exhaust
+
+
+def _outcome(mode: str, found, nodes: int, t0: float, wrap) -> SearchOutcome:
+    """found is the solution list, or the number of solutions when the
+    search only counted them."""
+    stats = SearchStats(nodes, time.perf_counter() - t0)
+    if isinstance(found, int):
+        count, sols = found, []
+    else:
+        count, sols = len(found), [wrap(s) for s in found]
+    return SearchOutcome(count > 0, count if mode == "count" else None, sols, stats)
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -100,8 +109,9 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 def _run_roots(solve, args, roots, jobs, stop):
     """Run solve(args + (None,)) serially, or solve(args + (root,)) for each
-    root choice across worker processes, merged in root order.  roots may
-    be lazy: the serial path never reads it."""
+    root choice across worker processes, merged in root order.  solve
+    returns (solution list, or solution count when it keeps none; nodes).
+    roots may be lazy: the serial path never reads it."""
     if jobs == 1:
         return solve((*args, None))
     tasks = [(*args, root) for root in roots]
@@ -109,12 +119,11 @@ def _run_roots(solve, args, roots, jobs, stop):
         return [], 0
     with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
         results = list(pool.map(solve, tasks))
-    sols: list = []
-    nodes = 0
-    for part, part_nodes in results:
-        nodes += part_nodes
-        sols.extend(part)
-    return (sols if stop is None else sols[:stop]), nodes
+    nodes = sum(part_nodes for _, part_nodes in results)
+    if isinstance(results[0][0], int):
+        return sum(part for part, _ in results), nodes
+    sols = [sol for part, _ in results for sol in part]
+    return sols[:stop], nodes
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +131,15 @@ def _run_roots(solve, args, roots, jobs, stop):
 # ---------------------------------------------------------------------------
 
 def _pair_rec(free, diffs, acc, out, stop, prune, counter) -> bool:
-    # acc is flat (a1, b1, a2, b2, ...): count mode keeps every solution, and
-    # a flat tuple of small ints takes a third of the memory of nested pairs.
+    # counter is [nodes, solutions]; out is None when solutions are only
+    # counted.  acc is flat (a1, b1, a2, b2, ...): a flat tuple of small ints
+    # takes a third of the memory of nested pairs.
     counter[0] += 1
     if not free:
-        out.append(tuple(acc))
-        return stop is not None and len(out) >= stop
+        counter[1] += 1
+        if out is not None:
+            out.append(tuple(acc))
+        return counter[1] == stop
     low = free & -free
     a = low.bit_length() - 1
     # highest unused difference > highest free position - a
@@ -157,25 +169,25 @@ def _pair_roots(free: int, diffs: int):
 
 
 def _pair_solve(args):
-    free, diffs, stop, prune, root = args
+    free, diffs, stop, keep, prune, root = args
     acc: list = []
     if root is not None:
         a = (free & -free).bit_length() - 1
         free ^= (1 << a) | (1 << (a + root))
         diffs ^= 1 << root
         acc += (a, a + root)
-    counter = [0]
-    out: list = []
+    counter = [0, 0]
+    out = [] if keep else None
     _pair_rec(free, diffs, acc, out, stop, prune, counter)
-    return out, counter[0]
+    return (out if keep else counter[1]), counter[0]
 
 
 def _search_pairs(free, diffs, mode, limit, jobs, prune, wrap) -> SearchOutcome:
     t0 = time.perf_counter()
-    stop = _stop_for(mode, limit, jobs)
-    sols, nodes = _run_roots(_pair_solve, (free, diffs, stop, prune),
-                             _pair_roots(free, diffs), jobs, stop)
-    return _outcome(mode, sols, nodes, t0, wrap)
+    stop, keep = _stop_for(mode, limit, jobs)
+    found, nodes = _run_roots(_pair_solve, (free, diffs, stop, keep, prune),
+                              _pair_roots(free, diffs), jobs, stop)
+    return _outcome(mode, found, nodes, t0, wrap)
 
 
 def search_nk2(
@@ -200,29 +212,30 @@ def search_nk2(
                          lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
 
 
-def _search_sequence(
-    length, m, hook_index, kind, d, mode, limit, jobs, prune
+def search_sequence(
+    kind: SequenceKind, m: int, d: int = 1, mode: str = "exists",
+    limit: int | None = None, jobs: int = 1, prune: bool = True,
+    bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
 ) -> SearchOutcome:
-    """Slots 0..length-1 but the hook; values d..d+m-1.  The pair (a, b)
-    puts b - a in both slots."""
-    def wrap(flat):
-        entries = [HOOK] * length
-        for a, b in zip(flat[::2], flat[1::2]):
-            entries[a] = entries[b] = b - a
-        return SequenceForm(kind, entries, d=d)
-
-    free = (1 << length) - 1
-    if hook_index is not None:
-        free ^= 1 << hook_index
-    values = ((1 << m) - 1) << d
-    return _search_pairs(free, values, mode, limit, jobs, prune, wrap)
-
-
-def _check_seq_bound(m: int, bound: int, force: bool):
+    """Sequences of the given kind and order m; d, the least value of a
+    hooked sequence, is ignored for the Skolem kinds."""
+    length, hook, least = sequence_shape(kind, m, d)
     if m < 1:
         raise DomainError("order must be positive")
     if m > bound and not force:
         raise BoundExceeded(f"m={m} exceeds bound {bound}")
+
+    def wrap(flat):
+        entries = [HOOK] * (length + 1)  # 1-based: slot 0 is dropped
+        for a, b in zip(flat[::2], flat[1::2]):
+            entries[a] = entries[b] = b - a
+        return SequenceForm(kind, entries[1:], d=least)
+
+    free = (1 << (length + 1)) - 2  # positions 1..length
+    if hook is not None:
+        free ^= 1 << hook
+    values = ((1 << m) - 1) << least
+    return _search_pairs(free, values, mode, limit, jobs, prune, wrap)
 
 
 def search_skolem(
@@ -230,9 +243,7 @@ def search_skolem(
     prune: bool = True, bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
 ) -> SearchOutcome:
     """Skolem sequences of order m (reversals count as distinct)."""
-    _check_seq_bound(m, bound, force)
-    return _search_sequence(2 * m, m, None,
-                            SequenceKind.SKOLEM, 1, mode, limit, jobs, prune)
+    return search_sequence(SequenceKind.SKOLEM, m, 1, mode, limit, jobs, prune, bound, force)
 
 
 def search_hooked_skolem(
@@ -240,9 +251,8 @@ def search_hooked_skolem(
     prune: bool = True, bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
 ) -> SearchOutcome:
     """Hooked Skolem sequences of order m (hook fixed at position 2m)."""
-    _check_seq_bound(m, bound, force)
-    return _search_sequence(2 * m + 1, m, 2 * m - 1,
-                            SequenceKind.HOOKED_SKOLEM, 1, mode, limit, jobs, prune)
+    return search_sequence(SequenceKind.HOOKED_SKOLEM, m, 1, mode, limit, jobs, prune,
+                           bound, force)
 
 
 def search_hooked_sequence(
@@ -250,11 +260,7 @@ def search_hooked_sequence(
     prune: bool = True, bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
 ) -> SearchOutcome:
     """Hooked sequences with difference set {d, ..., d+m-1}."""
-    if d < 1:
-        raise DomainError("d must be positive")
-    _check_seq_bound(m, bound, force)
-    return _search_sequence(2 * m + 1, m, 2 * m - 1,
-                            SequenceKind.HOOKED, d, mode, limit, jobs, prune)
+    return search_sequence(SequenceKind.HOOKED, m, d, mode, limit, jobs, prune, bound, force)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +268,15 @@ def search_hooked_sequence(
 # ---------------------------------------------------------------------------
 
 def _graph_solve(args):
-    p, edges, k, d, stop, first_label = args
+    p, edges, k, d, stop, keep, first_label = args
     labels = sorted(target_label_set(p))
     targets = set(edge_target_set(k, d, len(edges)))
     prev = [[] for _ in range(p)]
     for u, v in edges:  # 1-based in Graph
         hi, lo = max(u, v) - 1, min(u, v) - 1
         prev[hi].append(lo)
-    counter = [0]
-    out: list = []
+    counter = [0, 0]  # nodes, solutions
+    out = [] if keep else None
     assignment = [0] * p
     used: set = set()
     used_edge: set = set()
@@ -278,8 +284,10 @@ def _graph_solve(args):
     def rec(v):
         counter[0] += 1
         if v == p:
-            out.append(tuple(assignment))
-            return stop is not None and len(out) >= stop
+            counter[1] += 1
+            if out is not None:
+                out.append(tuple(assignment))
+            return counter[1] == stop
         done = False
         for lab in labels:
             if lab in used:
@@ -311,7 +319,7 @@ def _graph_solve(args):
         assignment[0] = first_label
         used.add(first_label)
         rec(1)
-    return out, counter[0]
+    return (out if keep else counter[1]), counter[0]
 
 
 def search_graph(
@@ -330,12 +338,12 @@ def search_graph(
     if g.p > bound and not force:
         raise BoundExceeded(f"p={g.p} exceeds bound {bound}")
     t0 = time.perf_counter()
-    stop = _stop_for(mode, limit, jobs)
+    stop, keep = _stop_for(mode, limit, jobs)
     if not size_necessary(g.p, g.q):
-        return _outcome(mode, [], 0, t0, VertexLabeling)
-    sols, nodes = _run_roots(_graph_solve, (g.p, g.edges, k, d, stop),
-                             sorted(target_label_set(g.p)), jobs, stop)
-    return _outcome(mode, sols, nodes, t0, VertexLabeling)
+        return _outcome(mode, 0, 0, t0, VertexLabeling)
+    found, nodes = _run_roots(_graph_solve, (g.p, g.edges, k, d, stop, keep),
+                              sorted(target_label_set(g.p)), jobs, stop)
+    return _outcome(mode, found, nodes, t0, VertexLabeling)
 
 
 # ---------------------------------------------------------------------------

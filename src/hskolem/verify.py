@@ -21,6 +21,7 @@ from .core import (
     edge_target_set,
     induced_edge_labels,
     pair_system_labeling,
+    sequence_shape,
     target_label_set,
 )
 
@@ -96,29 +97,30 @@ def verify_pair_system(ps: PairSystem, k: int, d: int) -> VerifyReport:
     return verify_labeling(g, f, k, d)
 
 
-def _verify_sequence(s: SequenceForm, values: list[int], hooked: bool) -> VerifyReport:
+def _verify_sequence(s: SequenceForm, kind: SequenceKind, d: int) -> VerifyReport:
     violations = []
     length = len(s.entries)
     hooks = s.hook_positions()
+    m = length // 2
+    want_length, hook, least = sequence_shape(kind, m, d)
 
     # Hook/shape conditions come first so report text is deterministic.
-    if hooked:
-        m = length // 2
-        if length != 2 * m + 1 or length < 3:
-            violations.append((HOOK_POSITION, f"length {length} is not 2m+1"))
-        if hooks != [2 * m]:
-            violations.append(
-                (HOOK_POSITION, f"hook at positions {hooks}, expected [{2 * m}]")
-            )
-    else:
-        if length % 2 != 0:
+    if hook is None:
+        if length != want_length:
             violations.append((HOOK_POSITION, f"length {length} is not 2m"))
         if hooks:
             violations.append((HOOK_POSITION, f"unexpected hook at positions {hooks}"))
+    else:
+        if length != want_length or length < 3:
+            violations.append((HOOK_POSITION, f"length {length} is not 2m+1"))
+        if hooks != [hook]:
+            violations.append(
+                (HOOK_POSITION, f"hook at positions {hooks}, expected [{hook}]")
+            )
 
     pos = s.value_positions()
-    wanted = set(values)
-    for v in sorted(set(pos) - wanted):
+    values = range(least, least + m)
+    for v in sorted(set(pos) - set(values)):
         violations.append((MULTIPLICITY, f"value {v} outside value set"))
     for v in values:
         where = pos.get(v, [])
@@ -135,27 +137,20 @@ def _verify_sequence(s: SequenceForm, values: list[int], hooked: bool) -> Verify
 
 
 def verify_skolem_sequence(s: SequenceForm) -> VerifyReport:
-    m = len(s.entries) // 2
-    return _verify_sequence(s, list(range(1, m + 1)), hooked=False)
+    return _verify_sequence(s, SequenceKind.SKOLEM, 1)
 
 
 def verify_hooked_skolem_sequence(s: SequenceForm) -> VerifyReport:
-    m = len(s.entries) // 2
-    return _verify_sequence(s, list(range(1, m + 1)), hooked=True)
+    return _verify_sequence(s, SequenceKind.HOOKED_SKOLEM, 1)
 
 
 def verify_hooked_sequence(s: SequenceForm, d: int) -> VerifyReport:
-    m = len(s.entries) // 2
-    return _verify_sequence(s, list(range(d, d + m)), hooked=True)
+    return _verify_sequence(s, SequenceKind.HOOKED, d)
 
 
 def verify_sequence(s: SequenceForm) -> VerifyReport:
-    """Dispatch on the sequence's own kind tag."""
-    if s.kind is SequenceKind.SKOLEM:
-        return verify_skolem_sequence(s)
-    if s.kind is SequenceKind.HOOKED_SKOLEM:
-        return verify_hooked_skolem_sequence(s)
-    return verify_hooked_sequence(s, s.d)
+    """Certify s as a sequence of its own kind tag."""
+    return _verify_sequence(s, s.kind, s.d)
 
 
 def check_sum_identity(ps: PairSystem, k: int, d: int) -> VerifyReport:

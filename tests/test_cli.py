@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hskolem import cli
 from hskolem.core import pair_system_from_json
@@ -73,6 +74,12 @@ class TestVerify:
         code, out, err = run_cli("verify", "labeling", "--file", str(path))
         assert code == 65
         assert out == "" and "Traceback" not in err
+
+    def test_hooked_d_below_one_is_usage_error(self):
+        code, out, err = run_cli("verify", "sequence", "--kind", "hooked",
+                                 "--d", "0", "--seq", "1 1 2 * 2")
+        assert code == 64
+        assert out == "" and err.startswith("error: ")
 
     def test_bad_sequence_text(self):
         code, _, _ = run_cli("verify", "sequence", "--kind", "skolem",
@@ -214,6 +221,16 @@ class TestConvert:
                              "--kind", "skolem", "--in", "1 ? 1")
         assert code == 65
 
+    @pytest.mark.parametrize("from_form, to_form, source", [
+        ("pairs", "sequence", "1-3 2-5"),
+        ("sequence", "pairs", "1 1 2 * 2"),
+    ])
+    def test_hooked_d_below_one(self, from_form, to_form, source):
+        code, out, err = run_cli("convert", "--from", from_form, "--to", to_form,
+                                 "--kind", "hooked", "--d", "0", "--in", source)
+        assert code == 65
+        assert out == "" and err.startswith("error: ")
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -223,3 +240,48 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _, _ = run_cli("search", "nk2", "--n", "2")
         assert code == 64
+
+
+_INT = st.integers(min_value=-2, max_value=8).map(str)
+_KIND = st.sampled_from(["skolem", "hooked-skolem", "hooked"])
+_FORM = st.sampled_from(["pairs", "sequence"])
+_SEQ_TEXT = (st.lists(st.sampled_from(["*", "0", "1", "2", "3", "4", "10", "x"]),
+                      min_size=1, max_size=7).map(" ".join)
+             | st.text(alphabet="01234*x", min_size=1, max_size=7))
+_PAIR_TEXT = st.lists(st.tuples(_INT, _INT).map("-".join),
+                      min_size=1, max_size=5).map(" ".join)
+
+
+@st.composite
+def _search_flags(draw):
+    flags = ["--mode", draw(st.sampled_from(["exists", "first", "count", "enumerate"]))]
+    if draw(st.booleans()):
+        flags += ["--limit", draw(_INT)]
+    return flags + ["--jobs", "1"]
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["construct", "nk2", "--n"]), _INT,
+              st.sampled_from([[], ["--format", "text"], ["--format", "json"]])),
+    st.tuples(st.just(["search", "nk2", "--n"]), _INT, st.just("--k"), _INT,
+              st.just("--d"), _INT, _search_flags()),
+    st.tuples(st.just(["search", "sequence", "--kind"]), _KIND, st.just("--m"), _INT,
+              st.just("--d"), _INT, _search_flags()),
+    st.tuples(st.just(["survey", "nk2", "--n-max"]), _INT, st.just("--k"), _INT,
+              st.just("--d"), _INT, st.just("--search-up-to"), _INT,
+              st.just(["--jobs", "1"])),
+    st.tuples(st.just(["verify", "sequence", "--kind"]), _KIND, st.just("--d"), _INT,
+              st.just("--seq"), _SEQ_TEXT),
+    st.tuples(st.just(["convert", "--from"]), _FORM, st.just("--to"), _FORM,
+              st.just("--kind"), _KIND, st.just("--d"), _INT, st.just("--in"),
+              _SEQ_TEXT | _PAIR_TEXT),
+).map(lambda parts: [tok for part in parts
+                     for tok in (part if isinstance(part, list) else [part])])
+
+
+class TestArgvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(_ARGV)
+    def test_exit_code_is_documented(self, argv):
+        code, _, _ = run_cli(*argv)
+        assert code in {0, 1, 2, 3, 64, 65, 70}

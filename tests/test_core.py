@@ -4,6 +4,7 @@ from hypothesis import assume, given, strategies as st
 from hskolem import (
     HOOK,
     DegenerateOrder,
+    DomainError,
     Graph,
     MultiplicityError,
     PairSystem,
@@ -23,6 +24,7 @@ from hskolem import (
     pairs_to_sequence,
     parse_pairs,
     parse_sequence,
+    sequence_shape,
     sequence_to_pairs,
     target_label_set,
 )
@@ -142,6 +144,28 @@ class TestConversions:
             sequence_to_pairs(s)
 
 
+class TestSequenceShape:
+    def test_pinned(self):
+        assert sequence_shape(SequenceKind.SKOLEM, 3) == (6, None, 1)
+        assert sequence_shape(SequenceKind.HOOKED_SKOLEM, 3) == (7, 6, 1)
+        assert sequence_shape(SequenceKind.HOOKED, 3, 2) == (7, 6, 2)
+        assert sequence_shape(SequenceKind.SKOLEM, 3, 0) == (6, None, 1)
+
+    @pytest.mark.parametrize("kind", [SequenceKind.HOOKED_SKOLEM, SequenceKind.HOOKED])
+    def test_hooked_positions_are_the_label_set(self, kind):
+        for m in range(1, 9):
+            length, hook, _ = sequence_shape(kind, m)
+            assert set(range(1, length + 1)) - {hook} == target_label_set(2 * m)
+
+    def test_hooked_rejects_d_below_one(self):
+        with pytest.raises(DomainError):
+            sequence_shape(SequenceKind.HOOKED, 3, 0)
+        with pytest.raises(DomainError):
+            pairs_to_sequence(PairSystem(((1, 3), (2, 5))), SequenceKind.HOOKED, d=0)
+        with pytest.raises(DomainError):
+            parse_sequence("1 1 2 * 2", kind=SequenceKind.HOOKED, d=0)
+
+
 class TestParseFormat:
     def test_compact_paper_string(self):
         s = parse_sequence("48574365387*6")
@@ -165,6 +189,11 @@ class TestParseFormat:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_sequence("1 x 1")
+
+    @pytest.mark.parametrize("text", ["10", "11202"])
+    def test_compact_zero_is_rejected(self, text):
+        with pytest.raises(ParseError, match=r"\*"):
+            parse_sequence(text)
 
     def test_empty(self):
         with pytest.raises(ParseError):

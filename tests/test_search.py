@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hskolem import (
@@ -5,6 +7,7 @@ from hskolem import (
     BoundExceeded,
     DomainError,
     Graph,
+    SequenceKind,
     expected_cross_edges,
     hooked_sequence_necessary,
     nk2_parity_feasible,
@@ -14,6 +17,7 @@ from hskolem import (
     search_hooked_sequence,
     search_hooked_skolem,
     search_nk2,
+    search_sequence,
     search_skolem,
     sequence_to_pairs,
     survey_nk2,
@@ -160,6 +164,40 @@ class TestHookedSequence:
             for m in range(1, 9):
                 if search_hooked_sequence(d, m, "exists").exists:
                     assert hooked_sequence_necessary(d, m)
+
+
+class TestSearchSequence:
+    @pytest.mark.parametrize("mode", ["exists", "first", "count", "enumerate"])
+    def test_same_as_public_wrappers(self, mode):
+        def key(out):
+            return out.exists, out.count, out.solutions, out.stats.nodes_expanded
+
+        for m in range(1, 7):
+            for d in (1, 2, 3):  # d is ignored for the Skolem kinds
+                assert (key(search_sequence(SequenceKind.SKOLEM, m, d, mode))
+                        == key(search_skolem(m, mode)))
+                assert (key(search_sequence(SequenceKind.HOOKED_SKOLEM, m, d, mode))
+                        == key(search_hooked_skolem(m, mode)))
+                assert (key(search_sequence(SequenceKind.HOOKED, m, d, mode))
+                        == key(search_hooked_sequence(d, m, mode)))
+
+
+class TestCountKeepsAnInteger:
+    def test_memory_peak(self):
+        tracemalloc.start()
+        try:
+            out = search_skolem(8, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == 504 and out.solutions == []
+        assert peak < 16 * 1024
+
+    def test_graph_count_across_jobs(self):
+        g = Graph(4, ((1, 2), (3, 4)))
+        serial = search_graph(g, 2, 1, "count")
+        assert serial.count > 0
+        assert search_graph(g, 2, 1, "count", jobs=3).count == serial.count
 
 
 class TestGraph:

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hskolem import (
+    HOOK,
+    DomainError,
     PairSystem,
     SequenceForm,
     SequenceKind,
@@ -15,6 +17,7 @@ from hskolem import (
     verify_hooked_skolem_sequence,
     verify_labeling,
     verify_pair_system,
+    verify_sequence,
     verify_skolem_sequence,
 )
 
@@ -99,6 +102,15 @@ class TestVerifyHooked:
             seq("1 1 * 2 2", SequenceKind.HOOKED_SKOLEM))
         assert not report.valid
         assert report.violations[0][0] == "hook_position"
+
+
+class TestHookedDBelowOne:
+    def test_rejected(self):
+        s = SequenceForm(SequenceKind.HOOKED, (1, 1, 2, HOOK, 2))
+        with pytest.raises(DomainError):
+            verify_hooked_sequence(s, 0)
+        with pytest.raises(DomainError):
+            verify_sequence(SequenceForm(SequenceKind.HOOKED, s.entries, d=0))
 
 
 class TestHookedD1CoincidesWithHookedSkolem:
