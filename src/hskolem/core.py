@@ -57,6 +57,12 @@ class SequenceKind(Enum):
     HOOKED = "hooked"
 
 
+# Module-level aliases: each SequenceKind.X access goes through the enum
+# metaclass and costs several times a global lookup.
+_SKOLEM = SequenceKind.SKOLEM
+_HOOKED_SKOLEM = SequenceKind.HOOKED_SKOLEM
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite undirected graph without loops; vertices are 1..p."""
@@ -214,9 +220,9 @@ def sequence_shape(kind: SequenceKind, m: int, d: int = 1) -> tuple[int, int | N
     1..length except the 1-based hook position (None for Skolem sequences)
     with the values least..least+m-1.  least is d for hooked sequences and
     1 for both Skolem kinds."""
-    if kind is SequenceKind.SKOLEM:
+    if kind is _SKOLEM:
         return 2 * m, None, 1
-    if kind is SequenceKind.HOOKED_SKOLEM:
+    if kind is _HOOKED_SKOLEM:
         return 2 * m + 1, 2 * m, 1
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
@@ -272,7 +278,7 @@ def parse_sequence(
     for tok in tokens:
         if tok == "*":
             entries.append(HOOK)
-        elif tok.isdigit():
+        elif tok.isascii() and tok.isdigit():  # isdigit alone accepts "²" and "٣"
             value = int(tok)
             entries.append(HOOK if value == 0 else value)
         else:
@@ -298,7 +304,9 @@ def parse_pairs(text: str) -> PairSystem:
     pairs = []
     for tok in text.split():
         parts = tok.split("-")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # isdigit alone accepts "²" and "٣", which int() rejects or reads
+        if (len(parts) != 2 or not tok.isascii()
+                or not (parts[0].isdigit() and parts[1].isdigit())):
             raise ParseError(f"bad pair token {tok!r}")
         a, b = int(parts[0]), int(parts[1])
         pairs.append((min(a, b), max(a, b)))

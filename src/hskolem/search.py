@@ -14,8 +14,13 @@ out in a fixed canonical order:
 * sequences: entry tuples in lexicographic order (leftmost empty slot filled
   first, values ascending).
 
-A second engine labels the vertices of a general graph one by one and emits
-label vectors in lexicographic order.
+A second engine labels the vertices of a general graph in order 1..p on a
+bitmask state of its own: free labels, unused target differences, and their
+mirror (bit p+1-e for each unused difference e).  A vertex's candidate
+labels are the free labels at an unused difference from every earlier
+neighbour's label, minus the midpoint of any two of those labels, which
+would repeat a difference.  Candidates are tried in ascending order, so
+label vectors come out in lexicographic order.
 
 With jobs > 1 the choices at the root are split across worker processes
 and the per-root results are merged back in root order, so existence,
@@ -267,58 +272,66 @@ def search_hooked_sequence(
 # general graphs
 # ---------------------------------------------------------------------------
 
+def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter) -> bool:
+    # labels[u] is the label of vertex u < v; prev[v] lists v's earlier
+    # neighbours.  free masks the unused labels, unused the unused target
+    # differences e, and rev holds bit w - e for each of them, so that
+    # rev >> (w - L) has bit L - e set.
+    counter[0] += 1
+    if v == len(labels):
+        counter[1] += 1
+        if out is not None:
+            out.append(tuple(labels))
+        return counter[1] == stop
+    nbrs = prev[v]
+    cand = free
+    for u in nbrs:
+        lab = labels[u]
+        cand &= (unused << lab) | (rev >> (w - lab))
+    if len(nbrs) > 1:
+        # the midpoint of two neighbour labels gives two equal differences
+        for i, u in enumerate(nbrs):
+            for t in nbrs[:i]:
+                s = labels[u] + labels[t]
+                if not s & 1:
+                    cand &= ~(1 << (s >> 1))
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        x = bit.bit_length() - 1
+        labels[v] = x
+        used = rused = 0
+        for u in nbrs:
+            e = abs(x - labels[u])
+            used |= 1 << e
+            rused |= 1 << (w - e)
+        if _graph_rec(v + 1, free ^ bit, unused ^ used, rev ^ rused,
+                      labels, prev, w, out, stop, counter):
+            return True
+    return False
+
+
 def _graph_solve(args):
     p, edges, k, d, stop, keep, first_label = args
-    labels = sorted(target_label_set(p))
-    targets = set(edge_target_set(k, d, len(edges)))
+    w = p + 1
+    # A difference above p joins no two labels of {1..p-1, p+1}; dropping
+    # it keeps w - e, the shift that builds rev, non-negative.
+    targets = [e for e in edge_target_set(k, d, len(edges)) if e <= p]
+    unused = sum(1 << e for e in targets)
+    rev = sum(1 << (w - e) for e in targets)
+    free = sum(1 << lab for lab in target_label_set(p))
     prev = [[] for _ in range(p)]
-    for u, v in edges:  # 1-based in Graph
-        hi, lo = max(u, v) - 1, min(u, v) - 1
-        prev[hi].append(lo)
+    for u, v in edges:  # 1-based in Graph, with u < v
+        prev[v - 1].append(u - 1)
+    labels = [0] * p
     counter = [0, 0]  # nodes, solutions
     out = [] if keep else None
-    assignment = [0] * p
-    used: set = set()
-    used_edge: set = set()
-
-    def rec(v):
-        counter[0] += 1
-        if v == p:
-            counter[1] += 1
-            if out is not None:
-                out.append(tuple(assignment))
-            return counter[1] == stop
-        done = False
-        for lab in labels:
-            if lab in used:
-                continue
-            new_edges = []
-            ok = True
-            for u in prev[v]:
-                e = abs(lab - assignment[u])
-                if e not in targets or e in used_edge or e in new_edges:
-                    ok = False
-                    break
-                new_edges.append(e)
-            if not ok:
-                continue
-            assignment[v] = lab
-            used.add(lab)
-            used_edge.update(new_edges)
-            done = rec(v + 1)
-            used_edge.difference_update(new_edges)
-            used.remove(lab)
-            assignment[v] = 0
-            if done:
-                break
-        return done
-
     if first_label is None:
-        rec(0)
+        _graph_rec(0, free, unused, rev, labels, prev, w, out, stop, counter)
     else:
-        assignment[0] = first_label
-        used.add(first_label)
-        rec(1)
+        labels[0] = first_label
+        _graph_rec(1, free ^ (1 << first_label), unused, rev, labels, prev, w,
+                   out, stop, counter)
     return (out if keep else counter[1]), counter[0]
 
 

@@ -6,6 +6,8 @@ value, not by position/label), so agreement is meaningful.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 
 def pairings(values):
     """All partitions of values into unordered pairs (a, b) with a < b,
@@ -58,3 +60,13 @@ def sequence_solutions_brute(length, values, hook_index=None):
 
     rec(0, [])
     return results
+
+
+def graph_labelings_brute(p, edges, k, d):
+    """All (k,d)-hooked Skolem graceful labelings of the graph on vertices
+    1..p, as label tuples in lexicographic order: every bijection onto
+    {1..p-1, p+1}, filtered by its edge differences."""
+    target = sorted(k + i * d for i in range(len(edges)))
+    labels = list(range(1, p)) + [p + 1]
+    return sorted(f for f in permutations(labels)
+                  if sorted(abs(f[u - 1] - f[v - 1]) for u, v in edges) == target)

@@ -86,6 +86,12 @@ class TestVerify:
                              "--seq", "1 x 1")
         assert code == 65
 
+    def test_non_ascii_digit(self):
+        code, out, err = run_cli("verify", "sequence", "--kind", "skolem",
+                                 "--seq", "1 \u00b2")
+        assert code == 65
+        assert out == "" and err.startswith("error: ")
+
 
 class TestSearch:
     def test_nk2_exists_false(self):
@@ -220,6 +226,16 @@ class TestConvert:
         code, _, _ = run_cli("convert", "--from", "sequence", "--to", "pairs",
                              "--kind", "skolem", "--in", "1 ? 1")
         assert code == 65
+
+    @pytest.mark.parametrize("from_form, to_form, source", [
+        ("pairs", "sequence", "1-\u00b2 3-5"),
+        ("sequence", "pairs", "1 1 2 * \u0662"),
+    ])
+    def test_non_ascii_digit(self, from_form, to_form, source):
+        code, out, err = run_cli("convert", "--from", from_form, "--to", to_form,
+                                 "--kind", "hooked", "--d", "2", "--in", source)
+        assert code == 65
+        assert out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("from_form, to_form, source", [
         ("pairs", "sequence", "1-3 2-5"),

@@ -199,6 +199,17 @@ class TestParseFormat:
         with pytest.raises(ParseError):
             parse_sequence("   ")
 
+    @pytest.mark.parametrize("text", ["1 \u00b2", "1 \u0663", "\uff11 1"])
+    def test_non_ascii_digit_is_rejected(self, text):
+        # superscript two, Arabic-Indic three, fullwidth one
+        with pytest.raises(ParseError):
+            parse_sequence(text)
+
+    @pytest.mark.parametrize("text", ["1-\u00b2 3-5", "\u0661-3"])
+    def test_non_ascii_pair_digit_is_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_pairs(text)
+
     @pytest.mark.parametrize("record", [
         '{"n": 1, "k": 2, "d": 1, "pairs": [[1.9, 3.2]]}',
         '{"n": 1, "k": true, "d": 1, "pairs": [[1, 3]]}',

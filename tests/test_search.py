@@ -1,4 +1,5 @@
 import tracemalloc
+from math import factorial
 
 import pytest
 
@@ -10,6 +11,7 @@ from hskolem import (
     SequenceKind,
     expected_cross_edges,
     hooked_sequence_necessary,
+    nk2_graph,
     nk2_parity_feasible,
     pair_system_labeling,
     partition_census,
@@ -26,7 +28,11 @@ from hskolem import (
 )
 from hskolem import search
 
-from oracles import nk2_solutions_brute, sequence_solutions_brute
+from oracles import (
+    graph_labelings_brute,
+    nk2_solutions_brute,
+    sequence_solutions_brute,
+)
 
 
 def entries_as_ints(s):
@@ -232,6 +238,56 @@ class TestGraph:
         for f in search_graph(g, 2, 1, "enumerate").solutions:
             c = partition_census(g, f)
             assert c.cross_edges == expected_cross_edges(2, 1, g.q)
+
+
+# Small graphs for the brute-force check.  Several have isolated vertices,
+# and the triangle, the 4-cycle and the star give a vertex two or three
+# earlier neighbours, where a midpoint label would repeat a difference.
+SMALL_GRAPHS = {
+    "edgeless3": Graph(3, ()),
+    "K2+K1": Graph(3, ((1, 2),)),
+    "2K2+K1": Graph(5, ((1, 2), (3, 4))),
+    "path4+2K1": Graph(6, ((1, 2), (2, 3), (3, 4))),
+    "triangle+K1": Graph(4, ((1, 2), (2, 3), (1, 3))),
+    "C4+pendant+K1": Graph(6, ((1, 2), (2, 3), (3, 4), (1, 4), (4, 5))),
+    "star, centre last": Graph(5, ((1, 5), (2, 5), (3, 5), (4, 5))),
+    "triangle+path+K2": Graph(7, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (6, 7))),
+    "path7": Graph(7, tuple((i, i + 1) for i in range(1, 7))),
+}
+
+
+class TestGraphAgainstBruteForce:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+    def test_enumerate(self, name, jobs):
+        g = SMALL_GRAPHS[name]
+        total = 0
+        for k in range(1, 4):
+            for d in range(1, 4):
+                found = [f.labels for f in
+                         search_graph(g, k, d, "enumerate", jobs=jobs).solutions]
+                assert found == graph_labelings_brute(g.p, g.edges, k, d)
+                total += len(found)
+        assert total > 0
+
+
+class TestGraphTreePinned:
+    def test_5k2_21(self):
+        out = search_graph(nk2_graph(5), 2, 1, "count")
+        assert (out.count, out.stats.nodes_expanded) == (23040, 290607)
+
+    def test_path9_11(self):
+        out = search_graph(Graph(9, tuple((i, i + 1) for i in range(1, 9))), 1, 1, "count")
+        assert (out.count, out.stats.nodes_expanded) == (228, 28946)
+
+    def test_nk2_graph_counts_every_vertex_order(self):
+        # Each pair system gives 2^n * n! labelings of the graph nK2: swap
+        # the ends of an edge, or permute the edges.
+        for n in range(1, 5):
+            for k in range(1, 4):
+                for d in range(1, 4):
+                    assert (search_graph(nk2_graph(n), k, d, "count").count
+                            == search_nk2(n, k, d, "count").count * 2**n * factorial(n))
 
 
 class TestDeterminismAndParallel:
