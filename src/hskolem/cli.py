@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_search_flags(p):
     p.add_argument("--mode", choices=search.MODES, default="exists")
     p.add_argument("--limit", type=int, default=None,
-                   help="max solutions for --mode enum")
+                   help="max solutions for --mode enumerate")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--force", action="store_true",
                    help="override the exhaustive-search bound")
@@ -124,6 +124,8 @@ def load_edge_list(text: str) -> core.Graph:
             edges.append((int(u), int(v)))
     except (ValueError, IndexError) as exc:
         raise core.ParseError(f"bad edge-list line: {exc}") from exc
+    if p < 2:
+        raise core.ParseError(f"the hooked label set needs p >= 2, got p {p}")
     return core.Graph(p, tuple(edges))
 
 

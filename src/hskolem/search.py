@@ -14,6 +14,9 @@ out in a fixed canonical order:
 * sequences: entry tuples in lexicographic order (leftmost empty slot filled
   first, values ascending).
 
+The count and exists modes walk the same tree, node for node, without a
+solution trail: they only count leaves, and exists stops at the first.
+
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
 mirror (bit p+1-e for each unused difference e).  A vertex's candidate
@@ -136,15 +139,13 @@ def _run_roots(solve, args, roots, jobs, stop):
 # ---------------------------------------------------------------------------
 
 def _pair_rec(free, diffs, acc, out, stop, prune, counter) -> bool:
-    # counter is [nodes, solutions]; out is None when solutions are only
-    # counted.  acc is flat (a1, b1, a2, b2, ...): a flat tuple of small ints
-    # takes a third of the memory of nested pairs.
+    # counter is [nodes]; solutions go to out until it holds stop of them.
+    # acc is flat (a1, b1, a2, b2, ...): a flat tuple of small ints takes a
+    # third of the memory of nested pairs.
     counter[0] += 1
     if not free:
-        counter[1] += 1
-        if out is not None:
-            out.append(tuple(acc))
-        return counter[1] == stop
+        out.append(tuple(acc))
+        return len(out) == stop
     low = free & -free
     a = low.bit_length() - 1
     # highest unused difference > highest free position - a
@@ -161,6 +162,32 @@ def _pair_rec(free, diffs, acc, out, stop, prune, counter) -> bool:
         if done:
             return True
     return False
+
+
+def _pair_count(free, diffs, prune, need, counter) -> int:
+    """Leaves below the state in _pair_rec's tree, without a solution
+    trail; the search stops once need leaves are found (need -1: never).
+    counter[0] gains the children of each expanded node, less those a stop
+    leaves unvisited, so it ends equal to _pair_rec's node count; the
+    caller counts the state itself."""
+    if not free:
+        return 1
+    low = free & -free
+    a = low.bit_length() - 1
+    if prune and diffs.bit_length() > free.bit_length() - a:
+        return 0
+    rest = free ^ low
+    cand = (rest >> a) & diffs
+    counter[0] += cand.bit_count()
+    found = 0
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        found += _pair_count(rest ^ (bit << a), diffs ^ bit, prune, need - found, counter)
+        if found == need:
+            counter[0] -= cand.bit_count()
+            break
+    return found
 
 
 def _pair_roots(free: int, diffs: int):
@@ -181,10 +208,14 @@ def _pair_solve(args):
         free ^= (1 << a) | (1 << (a + root))
         diffs ^= 1 << root
         acc += (a, a + root)
-    counter = [0, 0]
-    out = [] if keep else None
+    if not keep:
+        counter = [1]  # the state itself
+        found = _pair_count(free, diffs, prune, -1 if stop is None else stop, counter)
+        return found, counter[0]
+    counter = [0]
+    out: list = []
     _pair_rec(free, diffs, acc, out, stop, prune, counter)
-    return (out if keep else counter[1]), counter[0]
+    return out, counter[0]
 
 
 def _search_pairs(free, diffs, mode, limit, jobs, prune, wrap) -> SearchOutcome:

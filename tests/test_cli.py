@@ -166,6 +166,14 @@ class TestSearch:
                              "--k", "1", "--d", "1", "--mode", "exists")
         assert code == 65
 
+    def test_graph_with_one_vertex_is_bad_data(self, tmp_path):
+        path = tmp_path / "p1.edges"
+        path.write_text("p 1\n")
+        code, out, err = run_cli("search", "graph", "--edges", str(path),
+                                 "--k", "1", "--d", "1")
+        assert code == 65
+        assert out == "" and "p >= 2" in err and "Traceback" not in err
+
 
 class TestSurvey:
     def test_21_survey(self):

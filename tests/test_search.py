@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from math import factorial
 
 import pytest
@@ -188,6 +189,54 @@ class TestSearchSequence:
                         == key(search_hooked_sequence(d, m, mode)))
 
 
+class TestPairNodesPinned:
+    # nodes_expanded in exists and count mode.  These calls run the
+    # trail-free _pair_count; first and enumerate run _pair_rec over the
+    # same tree, which expands exactly these nodes.
+    @pytest.mark.parametrize("run, nodes", [
+        (partial(search_nk2, 10, 2, 1, "exists"), 1495),
+        (partial(search_nk2, 9, 2, 1, "exists"), 490),
+        (partial(search_nk2, 9, 1, 1, "exists"), 44013),
+        (partial(search_skolem, 9, "exists"), 258),
+        (partial(search_hooked_skolem, 10, "exists"), 491),
+        (partial(search_skolem, 9, "count"), 42808),
+        (partial(search_hooked_skolem, 9, "count"), 44013),
+    ], ids=["nk2-10-2-1", "nk2-9-2-1", "nk2-9-1-1", "skolem-9", "hooked-skolem-10",
+            "skolem-9-count", "hooked-skolem-9-count"])
+    def test_nodes(self, run, nodes):
+        assert run().stats.nodes_expanded == nodes
+
+    def test_nk2_count_without_pruning(self):
+        out = search_nk2(10, 2, 1, "count", prune=False)
+        assert (out.count, out.stats.nodes_expanded) == (6824, 313851)
+
+
+def pair_instances():
+    for n in range(1, 9):
+        for k in range(1, 4):
+            for d in range(1, 4):
+                yield f"nk2 {n} {k} {d}", partial(search_nk2, n, k, d)
+    for kind in SequenceKind:
+        for m in range(1, 9):
+            for d in (1, 2, 3) if kind is SequenceKind.HOOKED else (1,):
+                yield f"{kind.value} {m} {d}", partial(search_sequence, kind, m, d)
+
+
+class TestCountAgreesWithEnumerate:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_count_and_exists(self, prune, jobs):
+        for name, run in pair_instances():
+            count = run("count", prune=prune, jobs=jobs)
+            exists = run("exists", prune=prune, jobs=jobs)
+            listed = run("enumerate", prune=prune, jobs=jobs).solutions
+            assert count.count == len(listed), name
+            assert exists.exists == (count.count > 0), name
+            if count.count == 0:
+                assert (exists.stats.nodes_expanded
+                        == count.stats.nodes_expanded), name
+
+
 class TestCountKeepsAnInteger:
     def test_memory_peak(self):
         tracemalloc.start()
@@ -227,6 +276,10 @@ class TestGraph:
         g, _ = pair_system_labeling(
             search_nk2(3, 1, 1, "first").solutions[0])
         assert search_graph(g, 1, 1, "count").count > 0
+
+    def test_one_vertex_is_domain_error(self):
+        with pytest.raises(DomainError):
+            search_graph(Graph(1, ()), 1, 1)
 
     def test_bound(self):
         g = Graph(17, tuple((i, i + 1) for i in range(1, 17)))
