@@ -200,6 +200,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    if args.n_max < 1:
+        raise core.DomainError(f"--n-max must be positive, got {args.n_max}")
     try:
         rows = search.survey_nk2(range(1, args.n_max + 1), args.k, args.d,
                                  search_up_to=args.search_up_to,

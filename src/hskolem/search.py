@@ -23,7 +23,12 @@ mirror (bit p+1-e for each unused difference e).  A vertex's candidate
 labels are the free labels at an unused difference from every earlier
 neighbour's label, minus the midpoint of any two of those labels, which
 would repeat a difference.  Candidates are tried in ascending order, so
-label vectors come out in lexicographic order.
+label vectors come out in lexicographic order.  In count and exists mode,
+at each vertex that no edge spans (no earlier vertex has a neighbour at or
+after it), the subtree depends on the free labels and unused differences
+alone, so the engine memoizes its node and solution counts.  A hit credits
+the cached node count: nodes_expanded stays the size of the plain tree,
+for every jobs value, while the work done is smaller.
 
 With jobs > 1 the choices at the root are split across worker processes
 and the per-root results are merged back in root order, so existence,
@@ -55,6 +60,9 @@ from .core import (
 DEFAULT_NK2_BOUND = 10
 DEFAULT_GRAPH_BOUND = 16
 DEFAULT_SEQUENCE_BOUND = 12
+# The graph engine's memo stops inserting at this many entries (about 130
+# bytes each); lookups go on, and counts and node totals stay exact.
+GRAPH_MEMO_ENTRIES = 1 << 19
 
 MODES = ("exists", "first", "count", "enumerate")
 
@@ -70,6 +78,11 @@ class ContradictionDetected(RuntimeError):
 
 @dataclass
 class SearchStats:
+    """nodes_expanded is the size of the plain search tree.  Where the
+    graph engine's memo (count and exists, at vertices no edge spans) skips
+    a subtree, it adds the subtree's cached node count, so the figure does
+    not depend on the memo, only the work done does."""
+
     nodes_expanded: int = 0
     elapsed: float = 0.0
 
@@ -303,11 +316,23 @@ def search_hooked_sequence(
 # general graphs
 # ---------------------------------------------------------------------------
 
-def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter) -> bool:
+def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos) -> bool:
     # labels[u] is the label of vertex u < v; prev[v] lists v's earlier
     # neighbours.  free masks the unused labels, unused the unused target
     # differences e, and rev holds bit w - e for each of them, so that
-    # rev >> (w - L) has bit L - e set.
+    # rev >> (w - L) has bit L - e set.  memos[v] is the memo when no edge
+    # joins a vertex below v to one at or above it, else None: the subtree
+    # then depends on (free, unused) alone, and the memo maps that state to
+    # the subtree's (nodes, solutions) once it has been walked in full.
+    memo = memos[v]
+    if memo is not None:
+        key = free << w | unused
+        hit = memo.get(key)
+        if hit is not None:
+            counter[0] += hit[0]
+            counter[1] += hit[1]
+            return False
+        nodes0, sols0 = counter
     counter[0] += 1
     if v == len(labels):
         counter[1] += 1
@@ -337,8 +362,10 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter) -> boo
             used |= 1 << e
             rused |= 1 << (w - e)
         if _graph_rec(v + 1, free ^ bit, unused ^ used, rev ^ rused,
-                      labels, prev, w, out, stop, counter):
+                      labels, prev, w, out, stop, counter, memos):
             return True
+    if memo is not None and len(memo) < GRAPH_MEMO_ENTRIES:
+        memo[key] = (counter[0] - nodes0, counter[1] - sols0)
     return False
 
 
@@ -352,17 +379,21 @@ def _graph_solve(args):
     rev = sum(1 << (w - e) for e in targets)
     free = sum(1 << lab for lab in target_label_set(p))
     prev = [[] for _ in range(p)]
+    # One memo serves every vertex that no edge spans, and only in count and
+    # exists: a stored subtree yields no labels.
+    memos = [None if keep else {}] * p + [None]
     for u, v in edges:  # 1-based in Graph, with u < v
         prev[v - 1].append(u - 1)
+        memos[u:v] = [None] * (v - u)  # the edge spans vertices u..v-1, 0-based
     labels = [0] * p
     counter = [0, 0]  # nodes, solutions
     out = [] if keep else None
     if first_label is None:
-        _graph_rec(0, free, unused, rev, labels, prev, w, out, stop, counter)
+        _graph_rec(0, free, unused, rev, labels, prev, w, out, stop, counter, memos)
     else:
         labels[0] = first_label
         _graph_rec(1, free ^ (1 << first_label), unused, rev, labels, prev, w,
-                   out, stop, counter)
+                   out, stop, counter, memos)
     return (out if keep else counter[1]), counter[0]
 
 

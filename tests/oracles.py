@@ -70,3 +70,27 @@ def graph_labelings_brute(p, edges, k, d):
     labels = list(range(1, p)) + [p + 1]
     return sorted(f for f in permutations(labels)
                   if sorted(abs(f[u - 1] - f[v - 1]) for u, v in edges) == target)
+
+
+def graph_tree_nodes(p, edges, k, d):
+    """Size of the plain labeled search tree of the graph on vertices 1..p.
+    Vertices take labels in the order 1..p; a vertex may take any unused
+    label of {1..p-1, p+1} whose differences to its earlier neighbours'
+    labels are distinct and still among the unused targets.  Every partial
+    labeling reached this way is one node, the empty one included."""
+    targets = frozenset(k + i * d for i in range(len(edges)))
+    earlier = {v: [min(a, b) for a, b in edges if max(a, b) == v]
+               for v in range(1, p + 1)}
+    labels = set(range(1, p)) | {p + 1}
+
+    def nodes(v, given, left):
+        if v > p:
+            return 1
+        total = 1
+        for x in labels - set(given.values()):
+            diffs = {abs(x - given[u]) for u in earlier[v]}
+            if len(diffs) == len(earlier[v]) and diffs <= left:
+                total += nodes(v + 1, {**given, v: x}, left - diffs)
+        return total
+
+    return nodes(1, {}, targets)

@@ -193,6 +193,13 @@ class TestSurvey:
         feasible = [int(ln.split()[0]) for ln in lines if ln.split()[1] == "yes"]
         assert feasible == [n for n in range(1, 13) if n % 4 in (1, 2)]
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_usage_error(self, n_max):
+        code, out, err = run_cli("survey", "nk2", "--n-max", n_max, "--k", "2",
+                                 "--d", "1")
+        assert code == 64
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
     def test_small_grid_no_contradiction(self):
         code, out, _ = run_cli("survey", "nk2", "--n-max", "4", "--k", "3",
                                "--d", "2", "--search-up-to", "4")

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from functools import partial
 from math import factorial
@@ -31,6 +32,7 @@ from hskolem import search
 
 from oracles import (
     graph_labelings_brute,
+    graph_tree_nodes,
     nk2_solutions_brute,
     sequence_solutions_brute,
 )
@@ -341,6 +343,79 @@ class TestGraphTreePinned:
                 for d in range(1, 4):
                     assert (search_graph(nk2_graph(n), k, d, "count").count
                             == search_nk2(n, k, d, "count").count * 2**n * factorial(n))
+
+    def test_nk2_graph_counts_every_vertex_order_to_n6(self):
+        for n in (5, 6):
+            for k in (1, 2):
+                for d in (1, 2):
+                    assert (search_graph(nk2_graph(n), k, d, "count").count
+                            == search_nk2(n, k, d, "count").count * 2**n * factorial(n))
+
+    def test_6k2_21(self):
+        out = search_graph(nk2_graph(6), 2, 1, "count")
+        assert (out.count, out.stats.nodes_expanded) == (829440, 13786267)
+
+
+def memo_graphs():
+    # Disconnected graphs with components numbered one after another and
+    # interleaved, where an edge spans a vertex of another component, then
+    # random graphs with q <= p - 1 edges.
+    yield "2K2 interleaved", Graph(4, ((1, 3), (2, 4)))
+    yield "3K2 interleaved", Graph(6, ((1, 4), (2, 5), (3, 6)))
+    yield "3K2", Graph(6, ((1, 2), (3, 4), (5, 6)))
+    yield "K2+P3 interleaved", Graph(5, ((1, 3), (2, 4), (4, 5)))
+    yield "P3+K1+P3", Graph(7, ((1, 2), (2, 3), (5, 6), (6, 7)))
+    yield "K1+P4 interleaved+K2", Graph(7, ((2, 4), (3, 5), (4, 5), (6, 7)))
+    rng = random.Random(6)
+    for i in range(12):
+        p = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
+        yield f"random {i}", Graph(p, tuple(rng.sample(pairs, rng.randint(0, p - 1))))
+
+
+class TestGraphMemo:
+    # count and exists memoize subtrees below the vertices that no edge
+    # spans; a hit credits the cached subtree's nodes, so nodes_expanded
+    # stays the size of the plain tree.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nodes_are_the_plain_tree(self, jobs):
+        # Root tasks start below the root, which none of them counts.
+        uncounted = 0 if jobs == 1 else 1
+        for name, g in memo_graphs():
+            for k in (1, 2):
+                for d in (1, 2):
+                    count = search_graph(g, k, d, "count", jobs=jobs)
+                    assert (count.stats.nodes_expanded + uncounted
+                            == graph_tree_nodes(g.p, g.edges, k, d)), (name, k, d)
+                    assert count.count == len(graph_labelings_brute(g.p, g.edges, k, d))
+                    if count.count == 0:
+                        exists = search_graph(g, k, d, "exists", jobs=jobs)
+                        assert (exists.stats.nodes_expanded
+                                == count.stats.nodes_expanded), (name, k, d)
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    def test_capped_memo_stays_exact(self, monkeypatch, cap):
+        # 6K2 (2,2) rather than (2,1): a capped (2,1) run walks most of the
+        # 13.8 M-node plain tree.
+        runs = [(nk2_graph(5), 2, 1), (nk2_graph(6), 2, 2)]
+
+        def key(out):
+            return out.count, out.stats.nodes_expanded
+
+        full = [key(search_graph(g, k, d, "count")) for g, k, d in runs]
+        monkeypatch.setattr(search, "GRAPH_MEMO_ENTRIES", cap)
+        assert [key(search_graph(g, k, d, "count")) for g, k, d in runs] == full
+        assert full == [(23040, 290607), (0, 1244567)]
+
+    def test_memory_peak_6k2(self):
+        tracemalloc.start()
+        try:
+            out = search_graph(nk2_graph(6), 2, 1, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == 829440
+        assert peak < 1024 * 1024
 
 
 class TestDeterminismAndParallel:
