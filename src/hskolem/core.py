@@ -8,7 +8,6 @@ unused slot (the hook) at position 2m.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -316,6 +315,7 @@ def parse_pairs(text: str) -> PairSystem:
 
 
 def pair_system_to_json(ps: PairSystem, k: int, d: int) -> str:
+    import json  # here, not at the top: only JSON I/O pays for its import
     record = {"n": ps.n, "k": k, "d": d, "pairs": [list(p) for p in ps.pairs]}
     return json.dumps(record)
 
@@ -328,6 +328,7 @@ def _json_int(value) -> int:
 
 
 def pair_system_from_json(text: str) -> tuple[PairSystem, int, int]:
+    import json
     try:
         record = json.loads(text)
         n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))

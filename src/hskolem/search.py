@@ -33,14 +33,15 @@ for every jobs value, while the work done is smaller.
 With jobs > 1 the choices at the root are split across worker processes
 and the per-root results are merged back in root order, so existence,
 counts, the first solution, and enumeration order are identical to serial
-execution; only node statistics may differ.
+execution.  In count mode nodes_expanded is the same for every jobs value;
+in exists, first and enumerate it may differ, because each root task stops
+on its own.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .conditions import nk2_parity_feasible, size_necessary
@@ -65,6 +66,7 @@ DEFAULT_SEQUENCE_BOUND = 12
 GRAPH_MEMO_ENTRIES = 1 << 19
 
 MODES = ("exists", "first", "count", "enumerate")
+ProcessPoolExecutor = None  # bound on first parallel use: a slow import
 
 
 class BoundExceeded(DomainError):
@@ -132,15 +134,19 @@ def _run_roots(solve, args, roots, jobs, stop):
     """Run solve(args + (None,)) serially, or solve(args + (root,)) for each
     root choice across worker processes, merged in root order.  solve
     returns (solution list, or solution count when it keeps none; nodes).
-    roots may be lazy: the serial path never reads it."""
+    roots may be lazy: the serial path never reads it.  The root itself,
+    which no task expands, counts as one node."""
     if jobs == 1:
         return solve((*args, None))
     tasks = [(*args, root) for root in roots]
     if not tasks:
-        return [], 0
+        return [], 1
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
         results = list(pool.map(solve, tasks))
-    nodes = sum(part_nodes for _, part_nodes in results)
+    nodes = 1 + sum(part_nodes for _, part_nodes in results)
     if isinstance(results[0][0], int):
         return sum(part for part, _ in results), nodes
     sols = [sol for part, _ in results for sol in part]
@@ -203,9 +209,12 @@ def _pair_count(free, diffs, prune, need, counter) -> int:
     return found
 
 
-def _pair_roots(free: int, diffs: int):
-    """Differences that can pair the lowest free position, ascending."""
+def _pair_roots(free: int, diffs: int, prune: bool):
+    """Differences that can pair the lowest free position, ascending; none
+    when the root state fails the prune test."""
     a = (free & -free).bit_length() - 1
+    if prune and diffs.bit_length() > free.bit_length() - a:
+        return
     cand = ((free & (free - 1)) >> a) & diffs
     while cand:
         bit = cand & -cand
@@ -235,7 +244,7 @@ def _search_pairs(free, diffs, mode, limit, jobs, prune, wrap) -> SearchOutcome:
     t0 = time.perf_counter()
     stop, keep = _stop_for(mode, limit, jobs)
     found, nodes = _run_roots(_pair_solve, (free, diffs, stop, keep, prune),
-                              _pair_roots(free, diffs), jobs, stop)
+                              _pair_roots(free, diffs, prune), jobs, stop)
     return _outcome(mode, found, nodes, t0, wrap)
 
 
@@ -444,6 +453,8 @@ def survey_nk2(
     """One row per n: the parity predicate and, within search_up_to, the
     exhaustive verdict.  A positive search with a negative predicate is an
     implementation bug and raises ContradictionDetected."""
+    if jobs < 1:
+        raise DomainError(f"jobs must be positive, got {jobs}")
     rows = []
     for n in ns:
         feasible = nk2_parity_feasible(n, k, d)

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +204,14 @@ class TestSurvey:
         assert code == 64
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("search", [[], ["--search-up-to", "3"]])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, jobs, search):
+        code, out, err = run_cli("survey", "nk2", "--n-max", "5", "--k", "2",
+                                 "--d", "1", "--jobs", jobs, *search)
+        assert code == 64
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
     def test_small_grid_no_contradiction(self):
         code, out, _ = run_cli("survey", "nk2", "--n-max", "4", "--k", "3",
                                "--d", "2", "--search-up-to", "4")
@@ -271,6 +283,56 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _, _ = run_cli("search", "nk2", "--n", "2")
         assert code == 64
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs two serial commands in one fresh interpreter, then fails if hskolem
+# loaded any module that only a process pool or JSON I/O needs.
+_HYGIENE = """
+import sys
+before = set(sys.modules)
+from hskolem import cli
+assert cli.main(["search", "nk2", "--n", "6", "--k", "2", "--d", "1",
+                 "--mode", "count"]) == 0
+assert cli.main(["construct", "nk2", "--n", "9"]) == 0
+loaded = sorted(set(sys.modules) - before)
+lazy = [m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing", "json")]
+sys.exit(f"loaded {lazy}" if lazy else 0)
+"""
+
+
+def run_fresh(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=60)
+
+
+class TestColdProcess:
+    # Each call is a new interpreter, as from the shell: the pool and json
+    # are imported on first use, so these cover both import paths.
+    def test_serial_calls_import_no_pool_or_json(self):
+        proc = run_fresh("-c", _HYGIENE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "18\n1-8 2-7 3-11 4-6 5-14 9-19 10-16 12-15 13-17\n"
+
+    def test_sequence_output_identical_across_jobs(self):
+        argv = ["-m", "hskolem.cli", "search", "sequence", "--kind", "hooked",
+                "--m", "6", "--d", "3", "--mode", "enumerate", "--jobs"]
+        serial, parallel = run_fresh(*argv, "1"), run_fresh(*argv, "2")
+        assert serial.returncode == parallel.returncode == 0
+        assert serial.stdout and parallel.stdout == serial.stdout
+        assert parallel.stderr == ""
+
+    def test_json_construct_then_verify(self, tmp_path):
+        made = run_fresh("-m", "hskolem.cli", "construct", "nk2", "--n", "9",
+                         "--format", "json")
+        assert made.returncode == 0, made.stderr
+        (tmp_path / "9k2.json").write_text(made.stdout)
+        checked = run_fresh("-m", "hskolem.cli", "verify", "labeling",
+                            "--file", "9k2.json", cwd=tmp_path)
+        assert (checked.returncode, checked.stdout) == (0, "VALID\n")
 
 
 _INT = st.integers(min_value=-2, max_value=8).map(str)

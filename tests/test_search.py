@@ -379,13 +379,12 @@ class TestGraphMemo:
     # stays the size of the plain tree.
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_nodes_are_the_plain_tree(self, jobs):
-        # Root tasks start below the root, which none of them counts.
-        uncounted = 0 if jobs == 1 else 1
+        # The parallel merge counts the root, which no root task expands.
         for name, g in memo_graphs():
             for k in (1, 2):
                 for d in (1, 2):
                     count = search_graph(g, k, d, "count", jobs=jobs)
-                    assert (count.stats.nodes_expanded + uncounted
+                    assert (count.stats.nodes_expanded
                             == graph_tree_nodes(g.p, g.edges, k, d)), (name, k, d)
                     assert count.count == len(graph_labelings_brute(g.p, g.edges, k, d))
                     if count.count == 0:
@@ -450,6 +449,34 @@ class TestDeterminismAndParallel:
         assert [f.labels for f in a.solutions] == [f.labels for f in b.solutions]
 
 
+class TestCountNodesAcrossJobs:
+    # In count mode nodes_expanded is the whole tree for every jobs value:
+    # the parallel merge counts the root, which no root task expands, and a
+    # pair root that fails the prune test yields no root tasks at all.
+    # TestGraphMemo checks the graph engine's count against its oracle for
+    # both jobs values.
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_pair_instances(self, prune):
+        for name, run in pair_instances():
+            serial = run("count", prune=prune)
+            parallel = run("count", prune=prune, jobs=2)
+            assert ((parallel.count, parallel.stats.nodes_expanded)
+                    == (serial.count, serial.stats.nodes_expanded)), name
+
+    def test_pinned_trees(self):
+        assert search_nk2(10, 2, 1, "count", jobs=2).stats.nodes_expanded == 227932
+        assert search_graph(nk2_graph(4), 2, 1, "count", jobs=2).stats.nodes_expanded == 7781
+
+    def test_pruned_root_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        for jobs in (1, 2):
+            out = search_nk2(8, 1, 3, "count", jobs=jobs)
+            assert (out.count, out.stats.nodes_expanded) == (0, 1)
+
+
 class TestSurvey:
     def test_21_pattern(self):
         rows = survey_nk2(range(1, 9), 2, 1, search_up_to=8)
@@ -470,6 +497,12 @@ class TestSurvey:
                 for row in survey_nk2(range(1, 7), k, d, search_up_to=6):
                     if row.exists:
                         assert nk2_parity_feasible(row.n, k, d)
+
+    @pytest.mark.parametrize("search_up_to", [0, 3])
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs, search_up_to):
+        with pytest.raises(DomainError):
+            survey_nk2(range(1, 6), 2, 1, search_up_to=search_up_to, jobs=jobs)
 
 
 class TestArguments:
@@ -498,4 +531,4 @@ class TestArguments:
             raise AssertionError("pool started")
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
-        assert search._run_roots(None, (), [], 10**9, None) == ([], 0)
+        assert search._run_roots(None, (), [], 10**9, None) == ([], 1)
