@@ -111,17 +111,24 @@ def _read_source(source: str) -> str:
     return source
 
 
+def _ascii_int(tok: str) -> int:
+    if not (tok.isascii() and tok.isdigit()):  # int() also reads "٤", "４" and "1_0"
+        raise ValueError(f"bad integer {tok!r}")
+    return int(tok)
+
+
 def load_edge_list(text: str) -> core.Graph:
-    """First line "p <int>", then one "u v" edge per line (1-based)."""
+    """First line "p <int>", then one "u v" edge per line (1-based), in
+    ASCII digits."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("p "):
         raise core.ParseError('edge-list file must start with "p <int>"')
     try:
-        p = int(lines[0].split()[1])
+        p = _ascii_int(lines[0].split()[1])
         edges = []
         for ln in lines[1:]:
             u, v = ln.split()
-            edges.append((int(u), int(v)))
+            edges.append((_ascii_int(u), _ascii_int(v)))
     except (ValueError, IndexError) as exc:
         raise core.ParseError(f"bad edge-list line: {exc}") from exc
     if p < 2:
@@ -200,8 +207,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    if args.n_max < 1:
-        raise core.DomainError(f"--n-max must be positive, got {args.n_max}")
+    if not 1 <= args.n_max <= core.MAX_ORDER:
+        raise core.DomainError(f"--n-max must be in 1..{core.MAX_ORDER}, got {args.n_max}")
     try:
         rows = search.survey_nk2(range(1, args.n_max + 1), args.k, args.d,
                                  search_up_to=args.search_up_to,
@@ -266,6 +273,10 @@ def main(argv=None) -> int:
         return EXIT_BOUND
     except core.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:  # the engines recurse once per vertex or pair
+        print("error: instance too large for the search's recursion depth",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -157,7 +157,7 @@ def _run_roots(solve, args, roots, jobs, stop):
 # pair partitions: nK2 labelings and Skolem-type sequences
 # ---------------------------------------------------------------------------
 
-def _pair_rec(free, diffs, acc, out, stop, prune, counter) -> bool:
+def _pair_rec(free, diffs, acc, out, stop, counter) -> bool:
     # counter is [nodes]; solutions go to out until it holds stop of them.
     # acc is flat (a1, b1, a2, b2, ...): a flat tuple of small ints takes a
     # third of the memory of nested pairs.
@@ -168,7 +168,7 @@ def _pair_rec(free, diffs, acc, out, stop, prune, counter) -> bool:
     low = free & -free
     a = low.bit_length() - 1
     # highest unused difference > highest free position - a
-    if prune and diffs.bit_length() > free.bit_length() - a:
+    if diffs.bit_length() > free.bit_length() - a:
         return False
     rest = free ^ low
     cand = (rest >> a) & diffs
@@ -176,14 +176,14 @@ def _pair_rec(free, diffs, acc, out, stop, prune, counter) -> bool:
         bit = cand & -cand
         cand ^= bit
         acc += (a, a + bit.bit_length() - 1)
-        done = _pair_rec(rest ^ (bit << a), diffs ^ bit, acc, out, stop, prune, counter)
+        done = _pair_rec(rest ^ (bit << a), diffs ^ bit, acc, out, stop, counter)
         del acc[-2:]
         if done:
             return True
     return False
 
 
-def _pair_count(free, diffs, prune, need, counter) -> int:
+def _pair_count(free, diffs, need, counter) -> int:
     """Leaves below the state in _pair_rec's tree, without a solution
     trail; the search stops once need leaves are found (need -1: never).
     counter[0] gains the children of each expanded node, less those a stop
@@ -193,7 +193,7 @@ def _pair_count(free, diffs, prune, need, counter) -> int:
         return 1
     low = free & -free
     a = low.bit_length() - 1
-    if prune and diffs.bit_length() > free.bit_length() - a:
+    if diffs.bit_length() > free.bit_length() - a:
         return 0
     rest = free ^ low
     cand = (rest >> a) & diffs
@@ -202,18 +202,18 @@ def _pair_count(free, diffs, prune, need, counter) -> int:
     while cand:
         bit = cand & -cand
         cand ^= bit
-        found += _pair_count(rest ^ (bit << a), diffs ^ bit, prune, need - found, counter)
+        found += _pair_count(rest ^ (bit << a), diffs ^ bit, need - found, counter)
         if found == need:
             counter[0] -= cand.bit_count()
             break
     return found
 
 
-def _pair_roots(free: int, diffs: int, prune: bool):
+def _pair_roots(free: int, diffs: int):
     """Differences that can pair the lowest free position, ascending; none
     when the root state fails the prune test."""
     a = (free & -free).bit_length() - 1
-    if prune and diffs.bit_length() > free.bit_length() - a:
+    if diffs.bit_length() > free.bit_length() - a:
         return
     cand = ((free & (free - 1)) >> a) & diffs
     while cand:
@@ -223,7 +223,7 @@ def _pair_roots(free: int, diffs: int, prune: bool):
 
 
 def _pair_solve(args):
-    free, diffs, stop, keep, prune, root = args
+    free, diffs, stop, keep, root = args
     acc: list = []
     if root is not None:
         a = (free & -free).bit_length() - 1
@@ -232,56 +232,48 @@ def _pair_solve(args):
         acc += (a, a + root)
     if not keep:
         counter = [1]  # the state itself
-        found = _pair_count(free, diffs, prune, -1 if stop is None else stop, counter)
+        found = _pair_count(free, diffs, -1 if stop is None else stop, counter)
         return found, counter[0]
     counter = [0]
     out: list = []
-    _pair_rec(free, diffs, acc, out, stop, prune, counter)
+    _pair_rec(free, diffs, acc, out, stop, counter)
     return out, counter[0]
 
 
-def _search_pairs(free, diffs, mode, limit, jobs, prune, wrap) -> SearchOutcome:
+def _search_pairs(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
     t0 = time.perf_counter()
     stop, keep = _stop_for(mode, limit, jobs)
-    found, nodes = _run_roots(_pair_solve, (free, diffs, stop, keep, prune),
-                              _pair_roots(free, diffs, prune), jobs, stop)
+    found, nodes = _run_roots(_pair_solve, (free, diffs, stop, keep),
+                              _pair_roots(free, diffs), jobs, stop)
     return _outcome(mode, found, nodes, t0, wrap)
 
 
 def search_nk2(
-    n: int,
-    k: int,
-    d: int,
-    mode: str = "exists",
-    limit: int | None = None,
-    jobs: int = 1,
-    prune: bool = True,
-    bound: int = DEFAULT_NK2_BOUND,
-    force: bool = False,
+    n: int, k: int, d: int, mode: str = "exists", limit: int | None = None,
+    jobs: int = 1, *, force: bool = False,
 ) -> SearchOutcome:
     """Exhaustive search for (k,d)-hooked Skolem graceful labelings of nK2."""
     if n < 1 or k < 1 or d < 1:
         raise DomainError("n, k, d must be positive")
-    if n > bound and not force:
-        raise BoundExceeded(f"n={n} exceeds bound {bound}")
+    if n > DEFAULT_NK2_BOUND and not force:
+        raise BoundExceeded(f"n={n} exceeds bound {DEFAULT_NK2_BOUND}")
     free = ((1 << 2 * n) - 2) | (1 << (2 * n + 1))  # {1..2n-1, 2n+1}
     diffs = sum(1 << diff for diff in edge_target_set(k, d, n))
-    return _search_pairs(free, diffs, mode, limit, jobs, prune,
+    return _search_pairs(free, diffs, mode, limit, jobs,
                          lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
 
 
 def search_sequence(
     kind: SequenceKind, m: int, d: int = 1, mode: str = "exists",
-    limit: int | None = None, jobs: int = 1, prune: bool = True,
-    bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
+    limit: int | None = None, jobs: int = 1, *, force: bool = False,
 ) -> SearchOutcome:
     """Sequences of the given kind and order m; d, the least value of a
     hooked sequence, is ignored for the Skolem kinds."""
     length, hook, least = sequence_shape(kind, m, d)
     if m < 1:
         raise DomainError("order must be positive")
-    if m > bound and not force:
-        raise BoundExceeded(f"m={m} exceeds bound {bound}")
+    if m > DEFAULT_SEQUENCE_BOUND and not force:
+        raise BoundExceeded(f"m={m} exceeds bound {DEFAULT_SEQUENCE_BOUND}")
 
     def wrap(flat):
         entries = [HOOK] * (length + 1)  # 1-based: slot 0 is dropped
@@ -293,32 +285,31 @@ def search_sequence(
     if hook is not None:
         free ^= 1 << hook
     values = ((1 << m) - 1) << least
-    return _search_pairs(free, values, mode, limit, jobs, prune, wrap)
+    return _search_pairs(free, values, mode, limit, jobs, wrap)
 
 
 def search_skolem(
     m: int, mode: str = "exists", limit: int | None = None, jobs: int = 1,
-    prune: bool = True, bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
+    *, force: bool = False,
 ) -> SearchOutcome:
     """Skolem sequences of order m (reversals count as distinct)."""
-    return search_sequence(SequenceKind.SKOLEM, m, 1, mode, limit, jobs, prune, bound, force)
+    return search_sequence(SequenceKind.SKOLEM, m, 1, mode, limit, jobs, force=force)
 
 
 def search_hooked_skolem(
     m: int, mode: str = "exists", limit: int | None = None, jobs: int = 1,
-    prune: bool = True, bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
+    *, force: bool = False,
 ) -> SearchOutcome:
     """Hooked Skolem sequences of order m (hook fixed at position 2m)."""
-    return search_sequence(SequenceKind.HOOKED_SKOLEM, m, 1, mode, limit, jobs, prune,
-                           bound, force)
+    return search_sequence(SequenceKind.HOOKED_SKOLEM, m, 1, mode, limit, jobs, force=force)
 
 
 def search_hooked_sequence(
     d: int, m: int, mode: str = "exists", limit: int | None = None, jobs: int = 1,
-    prune: bool = True, bound: int = DEFAULT_SEQUENCE_BOUND, force: bool = False,
+    *, force: bool = False,
 ) -> SearchOutcome:
     """Hooked sequences with difference set {d, ..., d+m-1}."""
-    return search_sequence(SequenceKind.HOOKED, m, d, mode, limit, jobs, prune, bound, force)
+    return search_sequence(SequenceKind.HOOKED, m, d, mode, limit, jobs, force=force)
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +398,14 @@ def _graph_solve(args):
 
 
 def search_graph(
-    g: Graph,
-    k: int,
-    d: int,
-    mode: str = "exists",
-    limit: int | None = None,
-    jobs: int = 1,
-    bound: int = DEFAULT_GRAPH_BOUND,
-    force: bool = False,
+    g: Graph, k: int, d: int, mode: str = "exists", limit: int | None = None,
+    jobs: int = 1, *, force: bool = False,
 ) -> SearchOutcome:
     """Exhaustive search for (k,d)-hooked Skolem graceful labelings of g."""
     if k < 1 or d < 1:
         raise DomainError("k, d must be positive")
-    if g.p > bound and not force:
-        raise BoundExceeded(f"p={g.p} exceeds bound {bound}")
+    if g.p > DEFAULT_GRAPH_BOUND and not force:
+        raise BoundExceeded(f"p={g.p} exceeds bound {DEFAULT_GRAPH_BOUND}")
     t0 = time.perf_counter()
     stop, keep = _stop_for(mode, limit, jobs)
     if not size_necessary(g.p, g.q):
@@ -442,13 +427,7 @@ class SurveyRow:
 
 
 def survey_nk2(
-    ns,
-    k: int,
-    d: int,
-    search_up_to: int = 0,
-    jobs: int = 1,
-    bound: int = DEFAULT_NK2_BOUND,
-    force: bool = False,
+    ns, k: int, d: int, search_up_to: int = 0, jobs: int = 1, *, force: bool = False,
 ) -> list[SurveyRow]:
     """One row per n: the parity predicate and, within search_up_to, the
     exhaustive verdict.  A positive search with a negative predicate is an
@@ -460,8 +439,7 @@ def survey_nk2(
         feasible = nk2_parity_feasible(n, k, d)
         exists = None
         if n <= search_up_to:
-            exists = search_nk2(n, k, d, "exists", jobs=jobs,
-                                bound=bound, force=force).exists
+            exists = search_nk2(n, k, d, "exists", jobs=jobs, force=force).exists
             if exists and not feasible:
                 raise ContradictionDetected(
                     f"search found a labeling for n={n}, k={k}, d={d} "

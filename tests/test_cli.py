@@ -178,6 +178,29 @@ class TestSearch:
         assert code == 65
         assert out == "" and "p >= 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", [
+        "p \u0664\n1 2\n",        # Arabic-Indic 4
+        "p 4\n\u0661 2\n",        # Arabic-Indic 1
+        "p 4\n1 2\n3 \uff14\n",  # fullwidth 4
+        "p 1_0\n1 2\n",            # int() reads 10
+    ], ids=["arabic-indic-p", "arabic-indic-edge", "fullwidth-edge", "underscore-p"])
+    def test_graph_with_non_ascii_digits_is_bad_data(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli("search", "graph", "--edges", str(path),
+                                 "--k", "1", "--d", "1")
+        assert code == 65
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    def test_graph_too_deep_to_recurse_is_usage_error(self, tmp_path):
+        path = tmp_path / "p1500.edges"
+        path.write_text("p 1500\n")
+        code, out, err = run_cli("search", "graph", "--edges", str(path),
+                                 "--k", "1", "--d", "1", "--mode", "first", "--force")
+        assert code == 64
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+
 
 class TestSurvey:
     def test_21_survey(self):
@@ -200,6 +223,12 @@ class TestSurvey:
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_n_max_below_one_is_usage_error(self, n_max):
         code, out, err = run_cli("survey", "nk2", "--n-max", n_max, "--k", "2",
+                                 "--d", "1")
+        assert code == 64
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    def test_n_max_above_max_order_is_usage_error(self):
+        code, out, err = run_cli("survey", "nk2", "--n-max", "1000001", "--k", "2",
                                  "--d", "1")
         assert code == 64
         assert out == "" and err.startswith("error: ") and "Traceback" not in err

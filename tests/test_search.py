@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 from functools import partial
@@ -82,6 +83,17 @@ class TestNk2:
             search_nk2(11, 2, 1)
         assert search_nk2(11, 2, 1, force=True).stats.nodes_expanded > 0
 
+    def test_force_is_keyword_only(self):
+        # A seventh positional argument must not land on force and lift
+        # the bound.
+        with pytest.raises(TypeError):
+            search_nk2(11, 2, 1, "exists", None, 1, True)
+        for fn in (search_nk2, search_sequence, search_skolem, search_hooked_skolem,
+                   search_hooked_sequence, search_graph, survey_nk2):
+            params = inspect.signature(fn).parameters
+            assert params["force"].kind is inspect.Parameter.KEYWORD_ONLY, fn
+            assert "prune" not in params and "bound" not in params, fn
+
     def test_node_count_pinned(self):
         assert search_nk2(10, 2, 1, "count").stats.nodes_expanded == 227932
 
@@ -96,12 +108,11 @@ class TestNk2:
                              search_hooked_sequence(k, n, "enumerate").solutions]
                 assert labelings == sequences
 
-    def test_pruning_monotone(self):
+    def test_pruning_keeps_every_solution(self):
+        # The prune rule is always on; the by-value oracle shares none of it.
         for n, k, d in [(6, 2, 1), (7, 2, 1), (5, 1, 1), (6, 1, 2)]:
-            pruned = search_nk2(n, k, d, "count", prune=True)
-            plain = search_nk2(n, k, d, "count", prune=False)
-            assert pruned.count == plain.count
-            assert pruned.stats.nodes_expanded <= plain.stats.nodes_expanded
+            found = [ps.pairs for ps in search_nk2(n, k, d, "enumerate").solutions]
+            assert found == nk2_solutions_brute(n, k, d), (n, k, d)
 
 
 class TestSkolem:
@@ -208,9 +219,8 @@ class TestPairNodesPinned:
     def test_nodes(self, run, nodes):
         assert run().stats.nodes_expanded == nodes
 
-    def test_nk2_count_without_pruning(self):
-        out = search_nk2(10, 2, 1, "count", prune=False)
-        assert (out.count, out.stats.nodes_expanded) == (6824, 313851)
+    def test_nk2_count(self):
+        assert search_nk2(10, 2, 1, "count").count == 6824
 
 
 def pair_instances():
@@ -226,12 +236,11 @@ def pair_instances():
 
 class TestCountAgreesWithEnumerate:
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_count_and_exists(self, prune, jobs):
+    def test_count_and_exists(self, jobs):
         for name, run in pair_instances():
-            count = run("count", prune=prune, jobs=jobs)
-            exists = run("exists", prune=prune, jobs=jobs)
-            listed = run("enumerate", prune=prune, jobs=jobs).solutions
+            count = run("count", jobs=jobs)
+            exists = run("exists", jobs=jobs)
+            listed = run("enumerate", jobs=jobs).solutions
             assert count.count == len(listed), name
             assert exists.exists == (count.count > 0), name
             if count.count == 0:
@@ -455,11 +464,10 @@ class TestCountNodesAcrossJobs:
     # pair root that fails the prune test yields no root tasks at all.
     # TestGraphMemo checks the graph engine's count against its oracle for
     # both jobs values.
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_pair_instances(self, prune):
+    def test_pair_instances(self):
         for name, run in pair_instances():
-            serial = run("count", prune=prune)
-            parallel = run("count", prune=prune, jobs=2)
+            serial = run("count")
+            parallel = run("count", jobs=2)
             assert ((parallel.count, parallel.stats.nodes_expanded)
                     == (serial.count, serial.stats.nodes_expanded)), name
 
