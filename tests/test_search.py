@@ -203,9 +203,9 @@ class TestSearchSequence:
 
 
 class TestPairNodesPinned:
-    # nodes_expanded in exists and count mode.  These calls run the
-    # trail-free _pair_count; first and enumerate run _pair_rec over the
-    # same tree, which expands exactly these nodes.
+    # nodes_expanded in every mode.  All four modes run one pair walker over
+    # one tree; first and enumerate stop after the leaf that brings the
+    # solution count to the stop, as exists does after the first.
     @pytest.mark.parametrize("run, nodes", [
         (partial(search_nk2, 10, 2, 1, "exists"), 1495),
         (partial(search_nk2, 9, 2, 1, "exists"), 490),
@@ -218,6 +218,17 @@ class TestPairNodesPinned:
             "skolem-9-count", "hooked-skolem-9-count"])
     def test_nodes(self, run, nodes):
         assert run().stats.nodes_expanded == nodes
+
+    @pytest.mark.parametrize("run, first, three", [
+        (partial(search_nk2, 10, 2, 1), 1495, 1586),
+        (partial(search_nk2, 9, 2, 1), 490, 526),
+        (partial(search_nk2, 9, 1, 1), 44013, 44013),
+        (partial(search_skolem, 9), 258, 271),
+        (partial(search_hooked_skolem, 10), 491, 527),
+    ], ids=["nk2-10-2-1", "nk2-9-2-1", "nk2-9-1-1", "skolem-9", "hooked-skolem-10"])
+    def test_nodes_first_and_enumerate(self, run, first, three):
+        assert run("first").stats.nodes_expanded == first
+        assert run("enumerate", 3).stats.nodes_expanded == three
 
     def test_nk2_count(self):
         assert search_nk2(10, 2, 1, "count").count == 6824
@@ -335,6 +346,36 @@ class TestGraphAgainstBruteForce:
         assert total > 0
 
 
+def small_graph_instances():
+    for name, g in sorted(SMALL_GRAPHS.items()):
+        for k in (1, 2):
+            for d in (1, 2):
+                yield f"{name} {k} {d}", partial(search_graph, g, k, d)
+
+
+class TestStopIsAPrefix:
+    # first and enumerate with a limit stop early on the same walk that
+    # enumerate finishes, so their solutions are a prefix of its list.
+    @staticmethod
+    def check(name, run, jobs):
+        listed = run("enumerate", jobs=jobs).solutions
+        assert run("first", jobs=jobs).solutions == listed[:1], name
+        assert run("enumerate", 3, jobs=jobs).solutions == listed[:3], name
+
+    def test_pair_instances(self):
+        for name, run in pair_instances():
+            self.check(name, run, 1)
+
+    def test_pair_instances_parallel(self):
+        for name, run in pair_instances():
+            if max(x for x in run.args if isinstance(x, int)) <= 6:  # n, m <= 6
+                self.check(name, run, 2)
+
+    def test_small_graphs(self):
+        for name, run in small_graph_instances():
+            self.check(name, run, 1)
+
+
 class TestGraphTreePinned:
     def test_5k2_21(self):
         out = search_graph(nk2_graph(5), 2, 1, "count")
@@ -400,6 +441,16 @@ class TestGraphMemo:
                         exists = search_graph(g, k, d, "exists", jobs=jobs)
                         assert (exists.stats.nodes_expanded
                                 == count.stats.nodes_expanded), (name, k, d)
+
+    def test_exists_nodes_do_not_depend_on_the_memo(self, monkeypatch):
+        # exists stops inside a subtree, which the memo must not store.
+        runs = [(g, k, d) for _, g in memo_graphs() for k in (1, 2) for d in (1, 2)]
+        found = [(run, search_graph(*run, "exists")) for run in runs]
+        found = [(run, out.stats.nodes_expanded) for run, out in found if out.exists]
+        assert len(found) == 53
+        monkeypatch.setattr(search, "GRAPH_MEMO_ENTRIES", 0)
+        for run, nodes in found:
+            assert search_graph(*run, "exists").stats.nodes_expanded == nodes, run
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_capped_memo_stays_exact(self, monkeypatch, cap):
