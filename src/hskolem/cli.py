@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / verified, 1 verification failed, 2 no labeling
 exists for the requested order, 3 search bound exceeded, 64 usage error,
-65 unreadable or malformed input, 70 internal contradiction.
+65 unreadable or malformed input, 70 internal contradiction.  survey prints
+rows as it goes, so a bound or a contradiction met mid-table exits 3 or 70
+after the earlier rows.
 """
 
 from __future__ import annotations
@@ -124,12 +126,13 @@ def load_edge_list(text: str) -> core.Graph:
     if not lines or not lines[0].startswith("p "):
         raise core.ParseError('edge-list file must start with "p <int>"')
     try:
-        p = _ascii_int(lines[0].split()[1])
+        _, p = lines[0].split()
+        p = _ascii_int(p)
         edges = []
         for ln in lines[1:]:
             u, v = ln.split()
             edges.append((_ascii_int(u), _ascii_int(v)))
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise core.ParseError(f"bad edge-list line: {exc}") from exc
     if p < 2:
         raise core.ParseError(f"the hooked label set needs p >= 2, got p {p}")
@@ -209,15 +212,16 @@ def _cmd_search(args) -> int:
 def _cmd_survey(args) -> int:
     if not 1 <= args.n_max <= core.MAX_ORDER:
         raise core.DomainError(f"--n-max must be in 1..{core.MAX_ORDER}, got {args.n_max}")
-    try:
-        rows = search.survey_nk2(range(1, args.n_max + 1), args.k, args.d,
-                                 search_up_to=args.search_up_to,
-                                 jobs=args.jobs, force=args.force)
-    except search.ContradictionDetected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
-    print(f"{'n':>4}  {'parity':<8}  search")
-    for row in rows:
+    for n in range(1, args.n_max + 1):  # one row at a time: memory stays flat
+        try:
+            [row] = search.survey_nk2((n,), args.k, args.d,
+                                      search_up_to=args.search_up_to,
+                                      jobs=args.jobs, force=args.force)
+        except search.ContradictionDetected as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONTRADICTION
+        if n == 1:  # after the first row, so a bad argument prints nothing
+            print(f"{'n':>4}  {'parity':<8}  search")
         feasible = "yes" if row.parity_feasible else "no"
         found = "-" if row.exists is None else ("true" if row.exists else "false")
         print(f"{row.n:>4}  {feasible:<8}  {found}")

@@ -14,8 +14,8 @@ out in a fixed canonical order:
 * sequences: entry tuples in lexicographic order (leftmost empty slot filled
   first, values ascending).
 
-The count and exists modes walk the same tree, node for node, without a
-solution trail: they only count leaves, and exists stops at the first.
+One walker serves all four modes.  Only first and enumerate keep a trail,
+a chain of the pairs made so far that each leaf flattens into a solution.
 
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
@@ -29,6 +29,10 @@ after it), the subtree depends on the free labels and unused differences
 alone, so the engine memoizes its node and solution counts.  A hit credits
 the cached node count: nodes_expanded stays the size of the plain tree,
 for every jobs value, while the work done is smaller.
+
+Both engines stop alike: the leaf that brings the solution count to the
+mode's stop (1 for exists and first, the limit for enumerate, none for
+count) raises a private _Stop, which the engine's solve function catches.
 
 With jobs > 1 the choices at the root are split across worker processes
 and the per-root results are merged back in root order, so existence,
@@ -71,6 +75,10 @@ ProcessPoolExecutor = None  # bound on first parallel use: a slow import
 
 class BoundExceeded(DomainError):
     """Input exceeds the exhaustive-search bound; pass force=True to override."""
+
+
+class _Stop(Exception):
+    """Raised at the leaf that brings the solution count to the stop."""
 
 
 class ContradictionDetected(RuntimeError):
@@ -157,56 +165,39 @@ def _run_roots(solve, args, roots, jobs, stop):
 # pair partitions: nK2 labelings and Skolem-type sequences
 # ---------------------------------------------------------------------------
 
-def _pair_rec(free, diffs, acc, out, stop, counter) -> bool:
-    # counter is [nodes]; solutions go to out until it holds stop of them.
-    # acc is flat (a1, b1, a2, b2, ...): a flat tuple of small ints takes a
-    # third of the memory of nested pairs.
-    counter[0] += 1
+def _pair_walk(free, diffs, path, counter, stop) -> None:
+    # counter is [nodes, solutions]; nodes gains the children of each
+    # expanded node, so the caller counts the state itself.  path is None or
+    # a chain of (parent, a, bit) links ending in (out,); a leaf appends its
+    # flat (a1, b1, a2, b2, ...) to out: a third of nested pairs' memory.
     if not free:
-        out.append(tuple(acc))
-        return len(out) == stop
+        counter[1] += 1
+        if path:
+            flat = []
+            while len(path) == 3:
+                path, a, bit = path
+                flat += (a + bit.bit_length() - 1, a)
+            path[0].append(tuple(flat[::-1]))
+        if counter[1] == stop:
+            raise _Stop
+        return
     low = free & -free
     a = low.bit_length() - 1
     # highest unused difference > highest free position - a
     if diffs.bit_length() > free.bit_length() - a:
-        return False
-    rest = free ^ low
-    cand = (rest >> a) & diffs
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        acc += (a, a + bit.bit_length() - 1)
-        done = _pair_rec(rest ^ (bit << a), diffs ^ bit, acc, out, stop, counter)
-        del acc[-2:]
-        if done:
-            return True
-    return False
-
-
-def _pair_count(free, diffs, need, counter) -> int:
-    """Leaves below the state in _pair_rec's tree, without a solution
-    trail; the search stops once need leaves are found (need -1: never).
-    counter[0] gains the children of each expanded node, less those a stop
-    leaves unvisited, so it ends equal to _pair_rec's node count; the
-    caller counts the state itself."""
-    if not free:
-        return 1
-    low = free & -free
-    a = low.bit_length() - 1
-    if diffs.bit_length() > free.bit_length() - a:
-        return 0
+        return
     rest = free ^ low
     cand = (rest >> a) & diffs
     counter[0] += cand.bit_count()
-    found = 0
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        found += _pair_count(rest ^ (bit << a), diffs ^ bit, need - found, counter)
-        if found == need:
-            counter[0] -= cand.bit_count()
-            break
-    return found
+    try:
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            _pair_walk(rest ^ (bit << a), diffs ^ bit, path and (path, a, bit),
+                       counter, stop)
+    except _Stop:
+        counter[0] -= cand.bit_count()  # the children left unvisited
+        raise
 
 
 def _pair_roots(free: int, diffs: int):
@@ -224,20 +215,19 @@ def _pair_roots(free: int, diffs: int):
 
 def _pair_solve(args):
     free, diffs, stop, keep, root = args
-    acc: list = []
+    out: list = []
+    path = (out,) if keep else None
     if root is not None:
         a = (free & -free).bit_length() - 1
         free ^= (1 << a) | (1 << (a + root))
         diffs ^= 1 << root
-        acc += (a, a + root)
-    if not keep:
-        counter = [1]  # the state itself
-        found = _pair_count(free, diffs, -1 if stop is None else stop, counter)
-        return found, counter[0]
-    counter = [0]
-    out: list = []
-    _pair_rec(free, diffs, acc, out, stop, counter)
-    return out, counter[0]
+        path = path and (path, a, 1 << root)
+    counter = [1, 0]  # the state itself; no solutions yet
+    try:
+        _pair_walk(free, diffs, path, counter, stop)
+    except _Stop:
+        pass
+    return (out if keep else counter[1]), counter[0]
 
 
 def _search_pairs(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
@@ -316,14 +306,15 @@ def search_hooked_sequence(
 # general graphs
 # ---------------------------------------------------------------------------
 
-def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos) -> bool:
+def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos) -> None:
     # labels[u] is the label of vertex u < v; prev[v] lists v's earlier
     # neighbours.  free masks the unused labels, unused the unused target
     # differences e, and rev holds bit w - e for each of them, so that
     # rev >> (w - L) has bit L - e set.  memos[v] is the memo when no edge
     # joins a vertex below v to one at or above it, else None: the subtree
     # then depends on (free, unused) alone, and the memo maps that state to
-    # the subtree's (nodes, solutions) once it has been walked in full.
+    # the subtree's (nodes, solutions) once it has been walked in full: a
+    # _Stop raised below passes the store.
     memo = memos[v]
     if memo is not None:
         key = free << w | unused
@@ -331,14 +322,16 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
         if hit is not None:
             counter[0] += hit[0]
             counter[1] += hit[1]
-            return False
+            return
         nodes0, sols0 = counter
     counter[0] += 1
     if v == len(labels):
         counter[1] += 1
         if out is not None:
             out.append(tuple(labels))
-        return counter[1] == stop
+        if counter[1] == stop:
+            raise _Stop
+        return
     nbrs = prev[v]
     cand = free
     for u in nbrs:
@@ -361,12 +354,10 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
             e = abs(x - labels[u])
             used |= 1 << e
             rused |= 1 << (w - e)
-        if _graph_rec(v + 1, free ^ bit, unused ^ used, rev ^ rused,
-                      labels, prev, w, out, stop, counter, memos):
-            return True
+        _graph_rec(v + 1, free ^ bit, unused ^ used, rev ^ rused,
+                   labels, prev, w, out, stop, counter, memos)
     if memo is not None and len(memo) < GRAPH_MEMO_ENTRIES:
         memo[key] = (counter[0] - nodes0, counter[1] - sols0)
-    return False
 
 
 def _graph_solve(args):
@@ -388,12 +379,15 @@ def _graph_solve(args):
     labels = [0] * p
     counter = [0, 0]  # nodes, solutions
     out = [] if keep else None
-    if first_label is None:
-        _graph_rec(0, free, unused, rev, labels, prev, w, out, stop, counter, memos)
-    else:
+    v = 0
+    if first_label is not None:
         labels[0] = first_label
-        _graph_rec(1, free ^ (1 << first_label), unused, rev, labels, prev, w,
-                   out, stop, counter, memos)
+        free ^= 1 << first_label
+        v = 1
+    try:
+        _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
+    except _Stop:
+        pass
     return (out if keep else counter[1]), counter[0]
 
 

@@ -192,6 +192,15 @@ class TestSearch:
         assert code == 65
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["p 4 junk\n1 2\n", "p 4 5\n1 2\n"])
+    def test_graph_p_line_with_extra_tokens_is_bad_data(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        code, out, err = run_cli("search", "graph", "--edges", str(path),
+                                 "--k", "1", "--d", "1")
+        assert code == 65
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
     def test_graph_too_deep_to_recurse_is_usage_error(self, tmp_path):
         path = tmp_path / "p1500.edges"
         path.write_text("p 1500\n")
@@ -240,6 +249,21 @@ class TestSurvey:
                                  "--d", "1", "--jobs", jobs, *search)
         assert code == 64
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    def test_contradiction_exits_70_after_the_earlier_rows(self, monkeypatch):
+        monkeypatch.setattr(cli.search, "nk2_parity_feasible", lambda n, k, d: n < 2)
+        code, out, err = run_cli("survey", "nk2", "--n-max", "4", "--k", "2",
+                                 "--d", "1", "--search-up-to", "4")
+        assert code == 70
+        assert out.splitlines()[1:] == ["   1  yes       true"]
+        assert err.startswith("error: ") and "n=2" in err
+
+    def test_bound_exits_3_after_the_earlier_rows(self):
+        code, out, err = run_cli("survey", "nk2", "--n-max", "11", "--k", "2",
+                                 "--d", "1", "--search-up-to", "11")
+        assert code == 3
+        assert [ln.split()[0] for ln in out.splitlines()[1:]] == [str(n) for n in range(1, 11)]
+        assert err.startswith("error: n=11 exceeds bound")
 
     def test_small_grid_no_contradiction(self):
         code, out, _ = run_cli("survey", "nk2", "--n-max", "4", "--k", "3",
@@ -331,6 +355,19 @@ sys.exit(f"loaded {lazy}" if lazy else 0)
 """
 
 
+# Peak RSS in KB, from VmHWM: ru_maxrss would count the forking parent's
+# pages, which exec carries over.
+_SURVEY_RSS = """
+import sys
+from hskolem import cli
+code = cli.main(["survey", "nk2", "--n-max", "200000", "--k", "2", "--d", "1"])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(next(ln.split()[1] for ln in status if ln.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def run_fresh(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
@@ -353,6 +390,16 @@ class TestColdProcess:
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout and parallel.stdout == serial.stdout
         assert parallel.stderr == ""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_survey_memory_stays_flat(self):
+        # survey prints each row as it goes; holding 200000 rows took
+        # about 46 MB against about 16 MB for the bare interpreter.
+        proc = run_fresh("-c", _SURVEY_RSS)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") == 200001
+        assert int(proc.stderr) < 30 * 1024  # KB
 
     def test_json_construct_then_verify(self, tmp_path):
         made = run_fresh("-m", "hskolem.cli", "construct", "nk2", "--n", "9",

@@ -346,13 +346,6 @@ class TestGraphAgainstBruteForce:
         assert total > 0
 
 
-def small_graph_instances():
-    for name, g in sorted(SMALL_GRAPHS.items()):
-        for k in (1, 2):
-            for d in (1, 2):
-                yield f"{name} {k} {d}", partial(search_graph, g, k, d)
-
-
 class TestStopIsAPrefix:
     # first and enumerate with a limit stop early on the same walk that
     # enumerate finishes, so their solutions are a prefix of its list.
@@ -372,8 +365,10 @@ class TestStopIsAPrefix:
                 self.check(name, run, 2)
 
     def test_small_graphs(self):
-        for name, run in small_graph_instances():
-            self.check(name, run, 1)
+        for name, g in sorted(SMALL_GRAPHS.items()):
+            for k in (1, 2):
+                for d in (1, 2):
+                    self.check(f"{name} {k} {d}", partial(search_graph, g, k, d), 1)
 
 
 class TestGraphTreePinned:
