@@ -1,17 +1,18 @@
 """Command-line surface: construct, verify, search, survey, convert.
 
 Exit codes: 0 success / verified, 1 verification failed, 2 no labeling
-exists for the requested order, 3 search bound exceeded, 64 usage error,
-65 unreadable or malformed input, 70 internal contradiction.  survey prints
-rows as it goes, so a bound or a contradiction met mid-table exits 3 or 70
-after the earlier rows.
+exists for the requested order, 3 search bound exceeded, 64 usage error
+(a bad flag value on any subcommand), 65 unreadable, non-UTF-8 or malformed
+input, 70 internal contradiction; main alone maps errors to them.  Files
+are read as UTF-8 and parsed by core.  survey prints rows as it goes, so a
+bound or a contradiction met mid-table exits 3 or 70 after the earlier rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from . import construct, core, search, verify
 
@@ -103,49 +104,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_source(source: str) -> str:
-    path = Path(source)
+class _BadData(Exception):
+    """Unreadable or malformed input (exit 65)."""
+
+
+def _read(source: str, inline: bool = False) -> str:
+    """The UTF-8 text of the file at source; with inline, source itself
+    unless a file exists at that path."""
+    if inline and not os.path.isfile(source):  # also for a name too long to be a path
+        return source
     try:
-        if path.is_file():
-            return path.read_text()
-    except OSError:
-        pass
-    return source
+        with open(source, encoding="utf-8") as file:
+            return file.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise _BadData(exc) from exc
 
 
-def _ascii_int(tok: str) -> int:
-    if not (tok.isascii() and tok.isdigit()):  # int() also reads "٤", "４" and "1_0"
-        raise ValueError(f"bad integer {tok!r}")
-    return int(tok)
-
-
-def load_edge_list(text: str) -> core.Graph:
-    """First line "p <int>", then one "u v" edge per line (1-based), in
-    ASCII digits."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("p "):
-        raise core.ParseError('edge-list file must start with "p <int>"')
+def _parse(parse, text: str, *args, **kwargs):
+    """parse(text, ...), with a DomainError read as bad data (exit 65)."""
     try:
-        _, p = lines[0].split()
-        p = _ascii_int(p)
-        edges = []
-        for ln in lines[1:]:
-            u, v = ln.split()
-            edges.append((_ascii_int(u), _ascii_int(v)))
-    except ValueError as exc:
-        raise core.ParseError(f"bad edge-list line: {exc}") from exc
-    if p < 2:
-        raise core.ParseError(f"the hooked label set needs p >= 2, got p {p}")
-    return core.Graph(p, tuple(edges))
+        return parse(text, *args, **kwargs)
+    except core.DomainError as exc:
+        raise _BadData(exc) from exc
+
+
+def _kind(args) -> core.SequenceKind:
+    """--kind, with a hooked kind's --d checked before any input is read."""
+    kind = _KINDS[args.kind]
+    core.sequence_shape(kind, 1, args.d)  # a DomainError (exit 64) for a hooked d < 1
+    return kind
 
 
 def _cmd_construct(args) -> int:
-    try:
-        ps = construct.construct_nk2_21(args.n)
-    except construct.NotGraceful:
-        print("not (2,1)-hooked Skolem graceful: n ≡ 0 or 3 (mod 4)",
-              file=sys.stderr)
-        return EXIT_NOT_GRACEFUL
+    ps = construct.construct_nk2_21(args.n)
     if args.format == "json":
         print(core.pair_system_to_json(ps, 2, 1))
     else:
@@ -155,19 +146,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.target == "labeling":
-        try:
-            text = Path(args.file).read_text()
-            ps, k, d = core.pair_system_from_json(text)
-        except (OSError, core.ParseError, core.DomainError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        ps, k, d = _parse(core.pair_system_from_json, _read(args.file))
         report = verify.verify_pair_system(ps, k, d)
     else:
-        try:
-            s = core.parse_sequence(args.seq, kind=_KINDS[args.kind], d=args.d)
-        except core.ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        s = _parse(core.parse_sequence, args.seq, kind=_kind(args), d=args.d)
         report = verify.verify_sequence(s)
     print(report.to_text())
     return EXIT_OK if report.valid else EXIT_INVALID
@@ -192,14 +174,9 @@ def _cmd_search(args) -> int:
         outcome = search.search_nk2(args.n, args.k, args.d, **kwargs)
         render = core.format_pairs
     elif args.target == "graph":
-        try:
-            g = load_edge_list(Path(args.edges).read_text())
-        except (OSError, core.ParseError, core.DomainError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        g = _parse(core.load_edge_list, _read(args.edges))
         if args.p is not None and args.p != g.p:
-            print(f"error: --p {args.p} != file p {g.p}", file=sys.stderr)
-            return EXIT_DATA
+            raise _BadData(f"--p {args.p} != file p {g.p}")
         outcome = search.search_graph(g, args.k, args.d, **kwargs)
         render = lambda f: " ".join(str(x) for x in f.labels)
     else:
@@ -213,13 +190,9 @@ def _cmd_survey(args) -> int:
     if not 1 <= args.n_max <= core.MAX_ORDER:
         raise core.DomainError(f"--n-max must be in 1..{core.MAX_ORDER}, got {args.n_max}")
     for n in range(1, args.n_max + 1):  # one row at a time: memory stays flat
-        try:
-            [row] = search.survey_nk2((n,), args.k, args.d,
-                                      search_up_to=args.search_up_to,
-                                      jobs=args.jobs, force=args.force)
-        except search.ContradictionDetected as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONTRADICTION
+        [row] = search.survey_nk2((n,), args.k, args.d,
+                                  search_up_to=args.search_up_to,
+                                  jobs=args.jobs, force=args.force)
         if n == 1:  # after the first row, so a bad argument prints nothing
             print(f"{'n':>4}  {'parity':<8}  search")
         feasible = "yes" if row.parity_feasible else "no"
@@ -228,30 +201,24 @@ def _cmd_survey(args) -> int:
     return EXIT_OK
 
 
-def _cmd_convert(args) -> int:
-    kind = _KINDS[args.kind]
-    text = _read_source(args.source)
-    try:
-        if args.from_form == "pairs":
-            if text.lstrip().startswith("{"):
-                ps, _, _ = core.pair_system_from_json(text)
-            else:
-                ps = core.parse_pairs(text)
-            s = None
-        else:
-            s = core.parse_sequence(text, kind=kind, d=args.d)
-            ps = None
+def _convert(text: str, args, kind: core.SequenceKind) -> str:
+    if args.from_form == "sequence":
+        s = core.parse_sequence(text, kind=kind, d=args.d)
         if args.to_form == "sequence":
-            if s is None:
-                s = core.pairs_to_sequence(ps, kind, d=args.d)
-            print(core.format_sequence(s))
-        else:
-            if ps is None:
-                ps = core.sequence_to_pairs(s)
-            print(core.format_pairs(ps))
-    except core.DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+            return core.format_sequence(s)
+        return core.format_pairs(core.sequence_to_pairs(s))
+    if text.lstrip().startswith("{"):
+        ps, _, _ = core.pair_system_from_json(text)
+    else:
+        ps = core.parse_pairs(text)
+    if args.to_form == "pairs":
+        return core.format_pairs(ps)
+    return core.format_sequence(core.pairs_to_sequence(ps, kind, d=args.d))
+
+
+def _cmd_convert(args) -> int:
+    kind = _kind(args)
+    print(_parse(_convert, _read(args.source, inline=True), args, kind))
     return EXIT_OK
 
 
@@ -265,16 +232,22 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the only place that maps errors to exit codes."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
+    except SystemExit as exc:  # from argparse: --help, or a usage error
+        return exc.code if exc.code is not None else EXIT_USAGE
+    except construct.NotGraceful:
+        print("not (2,1)-hooked Skolem graceful: n ≡ 0 or 3 (mod 4)",
+              file=sys.stderr)
+        return EXIT_NOT_GRACEFUL
     except search.BoundExceeded as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return EXIT_BOUND
+    except _BadData as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except core.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,6 +255,9 @@ def main(argv=None) -> int:
         print("error: instance too large for the search's recursion depth",
               file=sys.stderr)
         return EXIT_USAGE
+    except search.ContradictionDetected as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONTRADICTION
 
 
 def entry() -> None:

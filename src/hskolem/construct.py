@@ -36,7 +36,7 @@ _BASE_CASES: dict[int, tuple[tuple[int, int], ...]] = {
 
 def base_cases() -> dict[int, PairSystem]:
     """The five tabulated labelings: n = 1, 2, 5, 6, 10."""
-    return {n: PairSystem(pairs, raw_pairs=pairs) for n, pairs in _BASE_CASES.items()}
+    return {n: PairSystem(pairs) for n, pairs in _BASE_CASES.items()}
 
 
 def _even_a(i: int, n: int, r: int) -> int:
@@ -78,8 +78,7 @@ def even_family_labels(r: int) -> PairSystem:
     if r < 4:
         raise UseBaseCase(f"even family starts at r=4, got r={r}")
     n = 4 * r - 2
-    raw = tuple((_even_a(i, n, r), _even_b(i, n, r)) for i in range(1, n + 1))
-    return PairSystem(tuple((min(a, b), max(a, b)) for a, b in raw), raw_pairs=raw)
+    return PairSystem(tuple((_even_a(i, n, r), _even_b(i, n, r)) for i in range(1, n + 1)))
 
 
 def _odd_a(i: int, n: int, r: int) -> int:
@@ -110,8 +109,7 @@ def odd_family_labels(r: int) -> PairSystem:
     if r < 3:
         raise UseBaseCase(f"odd family starts at r=3, got r={r}")
     n = 4 * r - 3
-    raw = tuple((_odd_a(i, n, r), _odd_b(i, n, r)) for i in range(1, n + 1))
-    return PairSystem(tuple((min(a, b), max(a, b)) for a, b in raw), raw_pairs=raw)
+    return PairSystem(tuple((_odd_a(i, n, r), _odd_b(i, n, r)) for i in range(1, n + 1)))
 
 
 def construct_nk2_21(n: int) -> PairSystem:

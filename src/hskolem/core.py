@@ -8,7 +8,7 @@ unused slot (the hook) at position 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 # Input bound for constructors and searches; keeps every label far below 2**63.
@@ -100,15 +100,9 @@ class VertexLabeling:
 
 @dataclass(frozen=True)
 class PairSystem:
-    """n disjoint label pairs (a_i, b_i), stored canonically with a < b.
-
-    raw_pairs optionally keeps the pre-normalization orientation so the
-    source convention of a construction can be inspected; it never takes
-    part in equality.
-    """
+    """n disjoint label pairs (a_i, b_i), each with a < b."""
 
     pairs: tuple[tuple[int, int], ...]
-    raw_pairs: tuple[tuple[int, int], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
@@ -252,6 +246,13 @@ def sequence_to_pairs(s: SequenceForm) -> PairSystem:
     return PairSystem(pairs)
 
 
+def _ascii_int(tok: str) -> int:
+    # int() also reads "٤", "４" and "1_0", and isdigit alone accepts "²"
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"bad integer {tok!r}")
+    return int(tok)
+
+
 def format_sequence(s: SequenceForm) -> str:
     return " ".join("*" if x is HOOK else str(x) for x in s.entries)
 
@@ -270,18 +271,9 @@ def parse_sequence(
         compact = tokens[0]
         if "0" in compact:
             raise ParseError(f"compact sequence {compact!r} holds 0; write the hook as *")
-        if not all(ch == "*" or "1" <= ch <= "9" for ch in compact):
-            raise ParseError(f"bad compact sequence {compact!r}")
-        tokens = list(compact)
-    entries: list = []
-    for tok in tokens:
-        if tok == "*":
-            entries.append(HOOK)
-        elif tok.isascii() and tok.isdigit():  # isdigit alone accepts "²" and "٣"
-            value = int(tok)
-            entries.append(HOOK if value == 0 else value)
-        else:
-            raise ParseError(f"bad token {tok!r}")
+        tokens = list(compact)  # one token per character, checked below
+    values = [0 if tok == "*" else _ascii_int(tok) for tok in tokens]
+    entries = [HOOK if value == 0 else value for value in values]
     hooked = any(x is HOOK for x in entries)
     if d is None:  # a hooked sequence's least value
         d = min((x for x in entries if x is not HOOK), default=1) if hooked else 1
@@ -303,15 +295,33 @@ def parse_pairs(text: str) -> PairSystem:
     pairs = []
     for tok in text.split():
         parts = tok.split("-")
-        # isdigit alone accepts "²" and "٣", which int() rejects or reads
-        if (len(parts) != 2 or not tok.isascii()
-                or not (parts[0].isdigit() and parts[1].isdigit())):
+        if len(parts) != 2:
             raise ParseError(f"bad pair token {tok!r}")
-        a, b = int(parts[0]), int(parts[1])
+        a, b = _ascii_int(parts[0]), _ascii_int(parts[1])
         pairs.append((min(a, b), max(a, b)))
     if not pairs:
         raise ParseError("empty pair text")
     return PairSystem(tuple(pairs))
+
+
+def load_edge_list(text: str) -> Graph:
+    """First line "p <int>", then one "u v" edge per line (1-based), in
+    ASCII digits."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines or not lines[0].startswith("p "):
+        raise ParseError('edge-list file must start with "p <int>"')
+    try:
+        _, p = lines[0].split()
+        p = _ascii_int(p)
+        edges = []
+        for ln in lines[1:]:
+            u, v = ln.split()
+            edges.append((_ascii_int(u), _ascii_int(v)))
+    except ValueError as exc:  # a ParseError from _ascii_int, or a bad split
+        raise ParseError(f"bad edge-list line: {exc}") from exc
+    if p < 2:
+        raise ParseError(f"the hooked label set needs p >= 2, got p {p}")
+    return Graph(p, tuple(edges))
 
 
 def pair_system_to_json(ps: PairSystem, k: int, d: int) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -321,10 +322,10 @@ class TestConvert:
         ("pairs", "sequence", "1-3 2-5"),
         ("sequence", "pairs", "1 1 2 * 2"),
     ])
-    def test_hooked_d_below_one(self, from_form, to_form, source):
+    def test_hooked_d_below_one_is_usage_error(self, from_form, to_form, source):
         code, out, err = run_cli("convert", "--from", from_form, "--to", to_form,
                                  "--kind", "hooked", "--d", "0", "--in", source)
-        assert code == 65
+        assert code == 64
         assert out == "" and err.startswith("error: ")
 
 
@@ -336,6 +337,21 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _, _ = run_cli("search", "nk2", "--n", "2")
         assert code == 64
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "labeling", "--file"],
+        ["search", "graph", "--k", "1", "--d", "1", "--edges"],
+        ["convert", "--from", "pairs", "--to", "sequence", "--in"],
+    ], ids=["verify-file", "search-edges", "convert-in"])
+    def test_non_utf8_file_is_bad_data(self, tmp_path, argv):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code, out, err = run_cli(*argv, str(path))
+        assert code == 65
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -429,6 +445,7 @@ def _search_flags(draw):
     return flags + ["--jobs", "1"]
 
 
+# A bytes token stands for a file holding those bytes; the test writes it.
 _ARGV = st.one_of(
     st.tuples(st.just(["construct", "nk2", "--n"]), _INT,
               st.sampled_from([[], ["--format", "text"], ["--format", "json"]])),
@@ -443,7 +460,9 @@ _ARGV = st.one_of(
               st.just("--seq"), _SEQ_TEXT),
     st.tuples(st.just(["convert", "--from"]), _FORM, st.just("--to"), _FORM,
               st.just("--kind"), _KIND, st.just("--d"), _INT, st.just("--in"),
-              _SEQ_TEXT | _PAIR_TEXT),
+              _SEQ_TEXT | _PAIR_TEXT | st.binary()),
+    st.tuples(st.just(["verify", "labeling", "--file"]), st.binary()),
+    st.tuples(st.just(["search", "graph", "--k", "1", "--d", "1", "--edges"]), st.binary()),
 ).map(lambda parts: [tok for part in parts
                      for tok in (part if isinstance(part, list) else [part])])
 
@@ -452,5 +471,10 @@ class TestArgvFuzz:
     @settings(max_examples=60, deadline=None)
     @given(_ARGV)
     def test_exit_code_is_documented(self, argv):
-        code, _, _ = run_cli(*argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input")
+            for tok in argv:
+                if isinstance(tok, bytes):
+                    Path(path).write_bytes(tok)
+            code, _, _ = run_cli(*(path if isinstance(tok, bytes) else tok for tok in argv))
         assert code in {0, 1, 2, 3, 64, 65, 70}

@@ -48,7 +48,7 @@ class TestEvenFamily:
     def test_r5_a_branch_tail(self):
         ps = even_family_labels(5)  # n = 18, tail a_i = (n-4)/2 + i = 7 + i
         for i in range(11, 19):
-            assert ps.raw_pairs[i - 1][0] == 7 + i
+            assert ps.pairs[i - 1][0] == 7 + i
 
     def test_differences_r4(self):
         assert sorted(even_family_labels(4).differences()) == list(range(2, 16))
@@ -59,7 +59,7 @@ class TestEvenFamily:
 
     def test_raw_orientation(self):
         for r in range(4, 12):
-            assert all(b > a for a, b in even_family_labels(r).raw_pairs)
+            assert all(b > a for a, b in even_family_labels(r).pairs)
 
 
 class TestOddFamily:
@@ -67,10 +67,10 @@ class TestOddFamily:
         assert odd_family_labels(3).pairs == R3_EXPECTED
 
     def test_r3_branch_i_equals_n(self):
-        assert odd_family_labels(3).raw_pairs[8][1] == 17  # b = n-1+i at i=n
+        assert odd_family_labels(3).pairs[8][1] == 17  # b = n-1+i at i=n
 
     def test_r3_branch_i_equals_2r(self):
-        assert odd_family_labels(3).raw_pairs[5][1] == 19  # b = 2n+1 at i=2r
+        assert odd_family_labels(3).pairs[5][1] == 19  # b = 2n+1 at i=2r
 
     def test_label_set_r3(self):
         values = sorted(odd_family_labels(3).values())
@@ -82,7 +82,7 @@ class TestOddFamily:
 
     def test_raw_orientation(self):
         for r in range(3, 12):
-            assert all(b > a for a, b in odd_family_labels(r).raw_pairs)
+            assert all(b > a for a, b in odd_family_labels(r).pairs)
 
 
 class TestConstruct:
