@@ -49,12 +49,9 @@ def nk2_parity_feasible(n: int, k: int, d: int) -> bool:
 
 
 def hooked_sequence_necessary(d: int, m: int) -> bool:
-    """Necessary conditions for a hooked sequence with differences
-    d, d+1, ..., d+m-1 to exist."""
+    """Simpson's necessary condition for a hooked sequence with differences
+    d, ..., d+m-1.  Such a sequence is a (d,1) labeling of mK2 (its slots are
+    {1..2m-1, 2m+1}), so its mod-4 part is nk2_parity_feasible(m, d, 1)."""
     if d < 1 or m < 1:
         raise DomainError("d, m must be positive")
-    if m * (m + 1 - 2 * d) + 2 < 0:
-        return False
-    if d % 2 == 1:
-        return m % 4 in (2, 3)
-    return m % 4 in (1, 2)
+    return m * (m + 1 - 2 * d) + 2 >= 0 and nk2_parity_feasible(m, d, 1)

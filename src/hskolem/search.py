@@ -34,12 +34,14 @@ Both engines stop alike: the leaf that brings the solution count to the
 mode's stop (1 for exists and first, the limit for enumerate, none for
 count) raises a private _Stop, which the engine's solve function catches.
 
-With jobs > 1 the choices at the root are split across worker processes
-and the per-root results are merged back in root order, so existence,
-counts, the first solution, and enumeration order are identical to serial
-execution.  In count mode nodes_expanded is the same for every jobs value;
-in exists, first and enumerate it may differ, because each root task stops
-on its own.
+One driver, _search, runs both engines.  With jobs > 1 it splits the
+choices at the root across worker processes and merges the per-root results
+in root order, so existence, counts, the first solution, and enumeration
+order are identical to serial execution.  With no root to split (a pruned
+pair root, or a graph whose count or exists memo root tasks would rebuild)
+it makes the serial call.  In count mode nodes_expanded is the same for
+every jobs value; in exists, first and enumerate it may differ, because
+each root task stops on its own.
 """
 
 from __future__ import annotations
@@ -123,42 +125,33 @@ def _stop_for(mode: str, limit: int | None, jobs: int) -> tuple[int | None, bool
     return None, False  # count: exhaust
 
 
-def _outcome(mode: str, found, nodes: int, t0: float, wrap) -> SearchOutcome:
-    """found is the solution list, or the number of solutions when the
-    search only counted them."""
-    stats = SearchStats(nodes, time.perf_counter() - t0)
-    if isinstance(found, int):
-        count, sols = found, []
-    else:
-        count, sols = len(found), [wrap(s) for s in found]
-    return SearchOutcome(count > 0, count if mode == "count" else None, sols, stats)
-
-
 def _worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
-def _run_roots(solve, args, roots, jobs, stop):
-    """Run solve(args + (None,)) serially, or solve(args + (root,)) for each
-    root choice across worker processes, merged in root order.  solve
-    returns (solution list, or solution count when it keeps none; nodes).
-    roots may be lazy: the serial path never reads it.  The root itself,
-    which no task expands, counts as one node."""
-    if jobs == 1:
-        return solve((*args, None))
-    tasks = [(*args, root) for root in roots]
-    if not tasks:
-        return [], 1
-    global ProcessPoolExecutor
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
-        results = list(pool.map(solve, tasks))
-    nodes = 1 + sum(part_nodes for _, part_nodes in results)
-    if isinstance(results[0][0], int):
-        return sum(part for part, _ in results), nodes
-    sols = [sol for part, _ in results for sol in part]
-    return sols[:stop], nodes
+def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
+    """solve((*args, stop, keep, root)) returns (solutions found, solutions
+    kept, nodes); it keeps [] when keep is off.  The merge adds one node for
+    the root, which no root task expands.  roots may be lazy: the serial
+    call, with root None, never reads it."""
+    t0 = time.perf_counter()
+    stop, keep = _stop_for(mode, limit, jobs)
+    tasks = [(*args, stop, keep, root) for root in roots] if jobs > 1 else ()
+    if tasks:
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
+            counts, parts, task_nodes = zip(*pool.map(solve, tasks))
+        count = sum(counts)
+        nodes = 1 + sum(task_nodes)
+        sols = [sol for part in parts for sol in part][:stop]
+    else:
+        count, sols, nodes = solve((*args, stop, keep, None))
+    if sols:
+        sols = [wrap(sol) for sol in sols]
+    stats = SearchStats(nodes, time.perf_counter() - t0)
+    return SearchOutcome(count > 0, count if mode == "count" else None, sols, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +220,7 @@ def _pair_solve(args):
         _pair_walk(free, diffs, path, counter, stop)
     except _Stop:
         pass
-    return (out if keep else counter[1]), counter[0]
-
-
-def _search_pairs(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
-    t0 = time.perf_counter()
-    stop, keep = _stop_for(mode, limit, jobs)
-    found, nodes = _run_roots(_pair_solve, (free, diffs, stop, keep),
-                              _pair_roots(free, diffs), jobs, stop)
-    return _outcome(mode, found, nodes, t0, wrap)
+    return counter[1], out, counter[0]
 
 
 def search_nk2(
@@ -249,8 +234,8 @@ def search_nk2(
         raise BoundExceeded(f"n={n} exceeds bound {DEFAULT_NK2_BOUND}")
     free = ((1 << 2 * n) - 2) | (1 << (2 * n + 1))  # {1..2n-1, 2n+1}
     diffs = sum(1 << diff for diff in edge_target_set(k, d, n))
-    return _search_pairs(free, diffs, mode, limit, jobs,
-                         lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
+    return _search(_pair_solve, (free, diffs), _pair_roots(free, diffs), mode,
+                   limit, jobs, lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
 
 
 def search_sequence(
@@ -275,7 +260,8 @@ def search_sequence(
     if hook is not None:
         free ^= 1 << hook
     values = ((1 << m) - 1) << least
-    return _search_pairs(free, values, mode, limit, jobs, wrap)
+    return _search(_pair_solve, (free, values), _pair_roots(free, values), mode,
+                   limit, jobs, wrap)
 
 
 def search_skolem(
@@ -378,17 +364,18 @@ def _graph_solve(args):
         memos[u:v] = [None] * (v - u)  # the edge spans vertices u..v-1, 0-based
     labels = [0] * p
     counter = [0, 0]  # nodes, solutions
-    out = [] if keep else None
+    out: list = []
     v = 0
     if first_label is not None:
         labels[0] = first_label
         free ^= 1 << first_label
         v = 1
     try:
-        _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
+        _graph_rec(v, free, unused, rev, labels, prev, w, out if keep else None,
+                   stop, counter, memos)
     except _Stop:
         pass
-    return (out if keep else counter[1]), counter[0]
+    return counter[1], out, counter[0]
 
 
 def search_graph(
@@ -400,13 +387,15 @@ def search_graph(
         raise DomainError("k, d must be positive")
     if g.p > DEFAULT_GRAPH_BOUND and not force:
         raise BoundExceeded(f"p={g.p} exceeds bound {DEFAULT_GRAPH_BOUND}")
-    t0 = time.perf_counter()
-    stop, keep = _stop_for(mode, limit, jobs)
     if not size_necessary(g.p, g.q):
-        return _outcome(mode, 0, 0, t0, VertexLabeling)
-    found, nodes = _run_roots(_graph_solve, (g.p, g.edges, k, d, stop, keep),
-                              sorted(target_label_set(g.p)), jobs, stop)
-    return _outcome(mode, found, nodes, t0, VertexLabeling)
+        return _search(lambda args: (0, [], 0), (), (), mode, limit, jobs, VertexLabeling)
+    # Root tasks would each rebuild the count and exists memo, so a graph
+    # with a memo vertex other than 0 (one that no edge spans) runs serially.
+    spanned = {x for u, v in g.edges for x in range(u, v)}  # 0-based
+    memo = mode in ("count", "exists") and len(spanned) < g.p - 1
+    roots = () if memo else sorted(target_label_set(g.p))
+    return _search(_graph_solve, (g.p, g.edges, k, d), roots, mode, limit, jobs,
+                   VertexLabeling)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +413,13 @@ def survey_nk2(
     ns, k: int, d: int, search_up_to: int = 0, jobs: int = 1, *, force: bool = False,
 ) -> list[SurveyRow]:
     """One row per n: the parity predicate and, within search_up_to, the
-    exhaustive verdict.  A positive search with a negative predicate is an
+    exhaustive verdict; a search_up_to above the bound raises before any
+    search.  A positive search with a negative predicate is an
     implementation bug and raises ContradictionDetected."""
     if jobs < 1:
         raise DomainError(f"jobs must be positive, got {jobs}")
+    if search_up_to > DEFAULT_NK2_BOUND and not force:
+        raise BoundExceeded(f"search_up_to={search_up_to} exceeds bound {DEFAULT_NK2_BOUND}")
     rows = []
     for n in ns:
         feasible = nk2_parity_feasible(n, k, d)

@@ -94,3 +94,14 @@ def graph_tree_nodes(p, edges, k, d):
         return total
 
     return nodes(1, {}, targets)
+
+
+def hooked_sequence_table(d, m):
+    """Simpson's condition for a hooked sequence with differences
+    d, ..., d+m-1, in its published form: the quadratic bound, then
+    m = 2, 3 (mod 4) for odd d and m = 1, 2 (mod 4) for even d."""
+    if m * (m + 1 - 2 * d) + 2 < 0:
+        return False
+    if d % 2 == 1:
+        return m % 4 in (2, 3)
+    return m % 4 in (1, 2)

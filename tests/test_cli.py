@@ -259,12 +259,19 @@ class TestSurvey:
         assert out.splitlines()[1:] == ["   1  yes       true"]
         assert err.startswith("error: ") and "n=2" in err
 
-    def test_bound_exits_3_after_the_earlier_rows(self):
-        code, out, err = run_cli("survey", "nk2", "--n-max", "11", "--k", "2",
+    def test_bound_exits_3_before_any_row(self):
+        code, out, err = run_cli("survey", "nk2", "--n-max", "12", "--k", "2",
                                  "--d", "1", "--search-up-to", "11")
         assert code == 3
-        assert [ln.split()[0] for ln in out.splitlines()[1:]] == [str(n) for n in range(1, 11)]
-        assert err.startswith("error: n=11 exceeds bound")
+        assert out == ""
+        assert err.startswith("error: search_up_to=11 exceeds bound 10")
+
+    def test_search_up_to_above_n_max_searches_every_row(self):
+        code, out, _ = run_cli("survey", "nk2", "--n-max", "5", "--k", "2",
+                               "--d", "1", "--search-up-to", "11")
+        assert code == 0
+        assert [ln.split()[2] for ln in out.splitlines()[1:]] == [
+            "true", "true", "false", "false", "true"]
 
     def test_small_grid_no_contradiction(self):
         code, out, _ = run_cli("survey", "nk2", "--n-max", "4", "--k", "3",

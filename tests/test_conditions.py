@@ -2,12 +2,15 @@ import pytest
 
 from hskolem import (
     BothEven,
+    DomainError,
     edge_target_set,
     expected_cross_edges,
     hooked_sequence_necessary,
     nk2_parity_feasible,
     size_necessary,
 )
+
+from oracles import hooked_sequence_table
 
 
 class TestSizeNecessary:
@@ -89,3 +92,15 @@ class TestHookedSequenceNecessary:
     def test_residue_d_even(self):
         assert hooked_sequence_necessary(2, 5)
         assert not hooked_sequence_necessary(2, 4)
+
+    def test_agrees_with_the_mod_4_table(self):
+        # A hooked sequence is a (d,1) labeling of mK2, so the nK2 parity
+        # test gives Simpson's mod-4 condition.
+        for d in range(1, 60):
+            for m in range(1, 400):
+                assert hooked_sequence_necessary(d, m) == hooked_sequence_table(d, m), (d, m)
+
+    @pytest.mark.parametrize("d, m", [(0, 3), (3, 0), (-1, -1)])
+    def test_rejects_d_or_m_below_one(self, d, m):
+        with pytest.raises(DomainError, match="d, m must be positive"):
+            hooked_sequence_necessary(d, m)

@@ -39,6 +39,10 @@ from oracles import (
 )
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("pool started")
+
+
 def entries_as_ints(s):
     return tuple(0 if x is HOOK else x for x in s.entries)
 
@@ -288,9 +292,11 @@ class TestGraph:
         g = Graph(3, ((1, 2), (2, 3)))
         assert search_graph(g, 2, 1, "exists").exists
 
-    def test_triangle_fails_size_condition(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_triangle_fails_size_condition(self, monkeypatch, jobs):
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
         g = Graph(3, ((1, 2), (2, 3), (1, 3)))
-        out = search_graph(g, 1, 1, "exists")
+        out = search_graph(g, 1, 1, "exists", jobs=jobs)
         assert not out.exists
         assert out.stats.nodes_expanded == 0
 
@@ -461,6 +467,19 @@ class TestGraphMemo:
         assert [key(search_graph(g, k, d, "count")) for g, k, d in runs] == full
         assert full == [(23040, 290607), (0, 1244567)]
 
+    def test_memo_graph_runs_serially_under_jobs(self, monkeypatch):
+        # Root tasks would each rebuild the memo that the serial walk shares.
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        out = search_graph(nk2_graph(6), 2, 1, "count", jobs=2)
+        assert (out.count, out.stats.nodes_expanded) == (829440, 13786267)
+
+    def test_graph_without_memo_vertex_splits_roots(self, monkeypatch):
+        # In a path every vertex but the first is spanned by an edge.
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        path9 = Graph(9, tuple((i, i + 1) for i in range(1, 9)))
+        with pytest.raises(AssertionError, match="pool started"):
+            search_graph(path9, 1, 1, "count", jobs=2)
+
     def test_memory_peak_6k2(self):
         tracemalloc.start()
         try:
@@ -522,9 +541,6 @@ class TestCountNodesAcrossJobs:
         assert search_graph(nk2_graph(4), 2, 1, "count", jobs=2).stats.nodes_expanded == 7781
 
     def test_pruned_root_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("pool started")
-
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
         for jobs in (1, 2):
             out = search_nk2(8, 1, 3, "count", jobs=jobs)
@@ -579,10 +595,3 @@ class TestArguments:
         assert search._worker_count(10**9, 0) == 0
         monkeypatch.setattr(search.os, "cpu_count", lambda: None)
         assert search._worker_count(10**9, 7) == 1
-
-    def test_no_roots_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("pool started")
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
-        assert search._run_roots(None, (), [], 10**9, None) == ([], 1)
