@@ -4,9 +4,9 @@ Exit codes: 0 success / verified, 1 verification failed, 2 no labeling
 exists for the requested order, 3 search bound exceeded, 64 usage error
 (a bad flag value on any subcommand), 65 unreadable, non-UTF-8 or malformed
 input, 70 internal contradiction; main alone maps errors to them.  Files
-are read as UTF-8 and parsed by core.  survey checks the search bound
-before any row, and prints rows as it goes, so a contradiction met
-mid-table exits 70 after the earlier rows.
+are read as UTF-8 and parsed by core.  survey searches its rows serially
+(no --jobs), checks the bound first and prints rows as it goes, so a
+contradiction met mid-table exits 70 after the earlier rows.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ def build_parser() -> _Parser:
     p_unk2.add_argument("--k", type=int, required=True)
     p_unk2.add_argument("--d", type=int, required=True)
     p_unk2.add_argument("--search-up-to", type=int, default=0)
-    p_unk2.add_argument("--jobs", type=int, default=1)
     p_unk2.add_argument("--force", action="store_true")
 
     p_convert = sub.add_parser("convert")
@@ -193,7 +192,7 @@ def _cmd_survey(args) -> int:
     for n in range(1, args.n_max + 1):  # one row at a time: memory stays flat
         [row] = search.survey_nk2((n,), args.k, args.d,
                                   search_up_to=min(args.search_up_to, args.n_max),
-                                  jobs=args.jobs, force=args.force)
+                                  force=args.force)
         if n == 1:  # after the first row, so a bad argument prints nothing
             print(f"{'n':>4}  {'parity':<8}  search")
         feasible = "yes" if row.parity_feasible else "no"

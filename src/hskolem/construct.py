@@ -8,6 +8,7 @@ transcription slip in the many formula branches fails loudly.
 
 from __future__ import annotations
 
+from .conditions import nk2_parity_feasible
 from .core import MAX_ORDER, DomainError, PairSystem
 from .verify import verify_pair_system
 
@@ -115,13 +116,13 @@ def odd_family_labels(r: int) -> PairSystem:
 def construct_nk2_21(n: int) -> PairSystem:
     """(2,1)-hooked Skolem graceful labeling of nK2, self-certified.
 
-    Raises NotGraceful for n = 0 or 3 (mod 4): no such labeling exists.
+    Raises NotGraceful when n fails the parity predicate, exact at (2, 1).
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     if n > MAX_ORDER:
         raise DomainError(f"n exceeds supported bound {MAX_ORDER}")
-    if n % 4 in (0, 3):
+    if not nk2_parity_feasible(n, 2, 1):
         raise NotGraceful(f"nK2 is not (2,1)-hooked Skolem graceful for n={n}")
     if n in _BASE_CASES:
         ps = base_cases()[n]

@@ -100,12 +100,15 @@ class VertexLabeling:
 
 @dataclass(frozen=True)
 class PairSystem:
-    """n disjoint label pairs (a_i, b_i), each with a < b."""
+    """n >= 1 disjoint label pairs (a_i, b_i), each with a < b; the readers
+    of every format build it as given and leave these rules to it."""
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
+        if not self.pairs:
+            raise DomainError("a pair system needs at least one pair")
         for a, b in self.pairs:
             if a >= b:
                 raise DomainError(f"pair ({a},{b}) must have a < b")
@@ -291,16 +294,13 @@ def format_pairs(ps: PairSystem) -> str:
 
 
 def parse_pairs(text: str) -> PairSystem:
-    """Inline pair text "a-b a-b ..."."""
+    """Inline pair text "a-b a-b ...", each pair smaller label first."""
     pairs = []
     for tok in text.split():
         parts = tok.split("-")
         if len(parts) != 2:
             raise ParseError(f"bad pair token {tok!r}")
-        a, b = _ascii_int(parts[0]), _ascii_int(parts[1])
-        pairs.append((min(a, b), max(a, b)))
-    if not pairs:
-        raise ParseError("empty pair text")
+        pairs.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
     return PairSystem(tuple(pairs))
 
 
@@ -343,7 +343,7 @@ def pair_system_from_json(text: str) -> tuple[PairSystem, int, int]:
         record = json.loads(text)
         n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))
         pairs = tuple((_json_int(a), _json_int(b)) for a, b in record["pairs"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad pair-system record: {exc}") from exc
     if k < 1 or d < 1:
         raise ParseError(f"record needs positive k and d, got k={k}, d={d}")

@@ -410,14 +410,12 @@ class SurveyRow:
 
 
 def survey_nk2(
-    ns, k: int, d: int, search_up_to: int = 0, jobs: int = 1, *, force: bool = False,
+    ns, k: int, d: int, search_up_to: int = 0, *, force: bool = False,
 ) -> list[SurveyRow]:
     """One row per n: the parity predicate and, within search_up_to, the
-    exhaustive verdict; a search_up_to above the bound raises before any
-    search.  A positive search with a negative predicate is an
-    implementation bug and raises ContradictionDetected."""
-    if jobs < 1:
-        raise DomainError(f"jobs must be positive, got {jobs}")
+    verdict of a serial exhaustive search; a search_up_to above the bound
+    raises before any search.  A positive search with a negative predicate
+    is an implementation bug and raises ContradictionDetected."""
     if search_up_to > DEFAULT_NK2_BOUND and not force:
         raise BoundExceeded(f"search_up_to={search_up_to} exceeds bound {DEFAULT_NK2_BOUND}")
     rows = []
@@ -425,7 +423,7 @@ def survey_nk2(
         feasible = nk2_parity_feasible(n, k, d)
         exists = None
         if n <= search_up_to:
-            exists = search_nk2(n, k, d, "exists", jobs=jobs, force=force).exists
+            exists = search_nk2(n, k, d, "exists", force=force).exists
             if exists and not feasible:
                 raise ContradictionDetected(
                     f"search found a labeling for n={n}, k={k}, d={d} "

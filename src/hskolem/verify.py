@@ -158,7 +158,7 @@ def check_sum_identity(ps: PairSystem, k: int, d: int) -> VerifyReport:
     sum(b-a) = nk + n(n-1)d/2 and sum(a+b) = 2n^2 + n + 1."""
     n = ps.n
     violations = []
-    if set(ps.values()) != set(range(1, 2 * n)) | {2 * n + 1}:
+    if set(ps.values()) != target_label_set(2 * n):
         violations.append(
             (VERTEX_LABEL_SET,
              f"pair values are not {{1..{2 * n - 1}, {2 * n + 1}}}; "

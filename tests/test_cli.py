@@ -243,13 +243,15 @@ class TestSurvey:
         assert code == 64
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
+    # survey has no --jobs flag: every value is an unknown argument.
     @pytest.mark.parametrize("search", [[], ["--search-up-to", "3"]])
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "2"])
     def test_jobs_below_one_is_usage_error(self, jobs, search):
         code, out, err = run_cli("survey", "nk2", "--n-max", "5", "--k", "2",
                                  "--d", "1", "--jobs", jobs, *search)
         assert code == 64
-        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        assert out == "" and "unrecognized arguments: --jobs" in err
+        assert "Traceback" not in err
 
     def test_contradiction_exits_70_after_the_earlier_rows(self, monkeypatch):
         monkeypatch.setattr(cli.search, "nk2_parity_feasible", lambda n, k, d: n < 2)
@@ -361,6 +363,64 @@ class TestUnreadableInput:
         assert "Traceback" not in err
 
 
+_SMALL = st.integers(min_value=-1, max_value=7)
+
+
+@st.composite
+def _records(draw):
+    # pairs in either order, possibly none; n often matches their count
+    pairs = draw(st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=4))
+    n = draw(st.just(len(pairs)) | _SMALL)
+    return {"n": n, "k": draw(_SMALL), "d": draw(_SMALL), "pairs": pairs}
+
+
+_DEEP = "[" * 100000
+
+
+class TestPairSystemInput:
+    # Every reader hands PairSystem the pairs as written, so a reversed pair
+    # or an empty system is bad data (65) in either format.
+    def run_file(self, tmp_path, text, argv):
+        path = tmp_path / "input"
+        path.write_text(text)
+        return run_cli(*argv, str(path))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_records())
+    def test_json_record_exits_0_1_or_65(self, record):
+        with tempfile.TemporaryDirectory() as tmp:
+            for argv in (["verify", "labeling", "--file"],
+                         ["convert", "--from", "pairs", "--to", "pairs", "--in"]):
+                code, _, err = self.run_file(Path(tmp), json.dumps(record), argv)
+                assert code in (0, 1, 65) and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "labeling", "--file"],
+        ["convert", "--from", "pairs", "--to", "pairs", "--in"],
+    ], ids=["verify", "convert"])
+    @pytest.mark.parametrize("text", [
+        '{"n": 0, "k": 1, "d": 1, "pairs": []}',
+        '{"n": 1, "k": 2, "d": 1, "pairs": [[3, 1]]}',
+        _DEEP,
+        '{"n": ' + _DEEP,
+    ], ids=["empty", "reversed", "deep", "deep-record"])
+    def test_bad_record_is_bad_data(self, tmp_path, text, argv):
+        code, out, err = self.run_file(tmp_path, text, argv)
+        assert (code, out) == (65, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("to_form", ["pairs", "sequence"])
+    def test_reversed_text_pair_is_bad_data(self, to_form):
+        code, out, err = run_cli("convert", "--from", "pairs", "--to", to_form,
+                                 "--kind", "skolem", "--in", "2-1")
+        assert (code, out) == (65, "") and err.startswith("error: ")
+
+    def test_lone_hook_has_no_pairs(self):
+        code, out, err = run_cli("convert", "--from", "sequence", "--to", "pairs",
+                                 "--kind", "skolem", "--in", "0")
+        assert (code, out) == (65, "") and err.startswith("error: ")
+
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs two serial commands in one fresh interpreter, then fails if hskolem
@@ -461,8 +521,7 @@ _ARGV = st.one_of(
     st.tuples(st.just(["search", "sequence", "--kind"]), _KIND, st.just("--m"), _INT,
               st.just("--d"), _INT, _search_flags()),
     st.tuples(st.just(["survey", "nk2", "--n-max"]), _INT, st.just("--k"), _INT,
-              st.just("--d"), _INT, st.just("--search-up-to"), _INT,
-              st.just(["--jobs", "1"])),
+              st.just("--d"), _INT, st.just("--search-up-to"), _INT),
     st.tuples(st.just(["verify", "sequence", "--kind"]), _KIND, st.just("--d"), _INT,
               st.just("--seq"), _SEQ_TEXT),
     st.tuples(st.just(["convert", "--from"]), _FORM, st.just("--to"), _FORM,

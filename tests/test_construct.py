@@ -6,6 +6,7 @@ from hskolem import (
     base_cases,
     construct_nk2_21,
     even_family_labels,
+    nk2_parity_feasible,
     odd_family_labels,
     verify_pair_system,
 )
@@ -91,9 +92,12 @@ class TestConstruct:
             (1, 8), (2, 7), (3, 6), (4, 10), (5, 9), (11, 13))
 
     def test_not_graceful(self):
-        for n in (3, 4, 7, 8, 100):
-            with pytest.raises(NotGraceful):
-                construct_nk2_21(n)
+        # At (k, d) = (2, 1) the parity predicate is exact: NotGraceful
+        # exactly where it fails, and the sweep below constructs the rest.
+        for n in range(1, 201):
+            if not nk2_parity_feasible(n, 2, 1):
+                with pytest.raises(NotGraceful):
+                    construct_nk2_21(n)
 
     def test_n14_uses_even_family(self):
         assert construct_nk2_21(14).pairs == R4_EXPECTED
@@ -105,7 +109,7 @@ class TestConstruct:
 
     def test_certification_sweep(self):
         for n in range(1, 201):
-            if n % 4 in (1, 2):
+            if nk2_parity_feasible(n, 2, 1):
                 ps = construct_nk2_21(n)
                 assert verify_pair_system(ps, 2, 1).valid
 

@@ -104,6 +104,24 @@ class TestGraph:
         assert Graph(4, ((1, 2),)).q == 1
 
 
+class TestPairSystem:
+    @pytest.mark.parametrize("pairs", [(), ((3, 1),)], ids=["empty", "reversed"])
+    def test_rejects_empty_or_reversed(self, pairs):
+        with pytest.raises(DomainError):
+            PairSystem(pairs)
+
+    @pytest.mark.parametrize("text", ["3-1", "1-3 5-2", "  "])
+    def test_pair_text_is_read_as_written(self, text):
+        # parse_pairs only tokenizes: a reversed pair or no pair at all
+        # fails in PairSystem, as it does when read from JSON.
+        with pytest.raises(DomainError):
+            parse_pairs(text)
+
+    def test_deep_json_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            pair_system_from_json("[" * 100000)
+
+
 class TestConversions:
     def test_paper_hooked_pairs_to_sequence(self):
         ps = PairSystem(((1, 5), (2, 10), (3, 8), (4, 11), (6, 9), (7, 13)))

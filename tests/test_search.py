@@ -568,11 +568,19 @@ class TestSurvey:
                     if row.exists:
                         assert nk2_parity_feasible(row.n, k, d)
 
+    # survey_nk2 takes no jobs: each row's search is serial, whatever value
+    # a caller tries to pass.
     @pytest.mark.parametrize("search_up_to", [0, 3])
-    @pytest.mark.parametrize("jobs", [0, -2])
+    @pytest.mark.parametrize("jobs", [0, -2, 2])
     def test_rejects_jobs_below_one(self, jobs, search_up_to):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             survey_nk2(range(1, 6), 2, 1, search_up_to=search_up_to, jobs=jobs)
+
+    def test_rows_start_no_pool(self, monkeypatch):
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        rows = survey_nk2(range(1, 9), 2, 1, search_up_to=8)
+        assert type(rows) is list
+        assert [r.n for r in rows if r.exists] == [1, 2, 5, 6]
 
 
 class TestArguments:
