@@ -31,7 +31,6 @@ from .core import (
     SequenceKind,
     ShapeMismatch,
     VertexLabeling,
-    VerifyReport,
     edge_target_set,
     format_pairs,
     format_sequence,
@@ -63,12 +62,10 @@ from .search import (
 )
 from .verify import (
     PartitionCensus,
+    VerifyReport,
     check_sum_identity,
     partition_census,
-    verify_hooked_sequence,
-    verify_hooked_skolem_sequence,
     verify_labeling,
     verify_pair_system,
     verify_sequence,
-    verify_skolem_sequence,
 )

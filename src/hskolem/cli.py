@@ -71,8 +71,6 @@ def build_parser() -> _Parser:
     _add_search_flags(p_snk2)
     p_sgraph = ssub.add_parser("graph")
     p_sgraph.add_argument("--edges", required=True, help="edge-list file")
-    p_sgraph.add_argument("--p", type=int, default=None,
-                          help="expected vertex count (checked against the file)")
     p_sgraph.add_argument("--k", type=int, required=True)
     p_sgraph.add_argument("--d", type=int, required=True)
     _add_search_flags(p_sgraph)
@@ -175,8 +173,6 @@ def _cmd_search(args) -> int:
         render = core.format_pairs
     elif args.target == "graph":
         g = _parse(core.load_edge_list, _read(args.edges))
-        if args.p is not None and args.p != g.p:
-            raise _BadData(f"--p {args.p} != file p {g.p}")
         outcome = search.search_graph(g, args.k, args.d, **kwargs)
         render = lambda f: " ".join(str(x) for x in f.labels)
     else:
@@ -238,9 +234,8 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except SystemExit as exc:  # from argparse: --help, or a usage error
         return exc.code if exc.code is not None else EXIT_USAGE
-    except construct.NotGraceful:
-        print("not (2,1)-hooked Skolem graceful: n ≡ 0 or 3 (mod 4)",
-              file=sys.stderr)
+    except construct.NotGraceful as exc:  # construct owns the rule it names
+        print(exc, file=sys.stderr)
         return EXIT_NOT_GRACEFUL
     except search.BoundExceeded as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)

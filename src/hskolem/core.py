@@ -3,7 +3,8 @@
 A pair system is the labeling of nK2 written as n disjoint pairs (a_i, b_i)
 with a_i < b_i.  A Skolem-type sequence is the same object read positionally:
 the value b - a occupies positions a and b, and hooked variants leave one
-unused slot (the hook) at position 2m.
+unused slot (the hook) at position 2m.  This module owns the types and
+every text format; certification and its VerifyReport live in verify.
 """
 
 from __future__ import annotations
@@ -156,23 +157,6 @@ class SequenceForm:
         return [i for i, x in enumerate(self.entries, start=1) if x is HOOK]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Pass/fail certification with every violated condition enumerated."""
-
-    violations: tuple[tuple[str, str], ...]
-    census: "object | None" = None  # verify.PartitionCensus when available
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-    def to_text(self) -> str:
-        if self.valid:
-            return "VALID"
-        return "\n".join(f"VIOLATION {cid}: {detail}" for cid, detail in self.violations)
-
-
 def target_label_set(p: int) -> set[int]:
     """Hooked vertex-label set {1, ..., p-1, p+1}."""
     if p < 2:
@@ -205,10 +189,7 @@ def nk2_graph(n: int) -> Graph:
 
 def pair_system_labeling(ps: PairSystem) -> tuple[Graph, VertexLabeling]:
     """Read a pair system as the nK2 labeling f(u_i)=a_i, f(v_i)=b_i."""
-    labels = []
-    for a, b in ps.pairs:
-        labels.extend((a, b))
-    return nk2_graph(ps.n), VertexLabeling(tuple(labels))
+    return nk2_graph(ps.n), VertexLabeling(ps.values())
 
 
 def sequence_shape(kind: SequenceKind, m: int, d: int = 1) -> tuple[int, int | None, int]:
@@ -249,11 +230,21 @@ def sequence_to_pairs(s: SequenceForm) -> PairSystem:
     return PairSystem(pairs)
 
 
+def _quote(value) -> str:
+    """repr(value), cut after 40 characters: a reader's error message stays
+    short however long the bad token.  Only raising paths call it."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _ascii_int(tok: str) -> int:
     # int() also reads "٤", "４" and "1_0", and isdigit alone accepts "²"
     if not (tok.isascii() and tok.isdigit()):
-        raise ParseError(f"bad integer {tok!r}")
-    return int(tok)
+        raise ParseError(f"bad integer {_quote(tok)}")
+    try:
+        return int(tok)
+    except ValueError as exc:  # more digits than int() will read
+        raise ParseError(f"bad integer {_quote(tok)}: too many digits") from exc
 
 
 def format_sequence(s: SequenceForm) -> str:
@@ -273,7 +264,7 @@ def parse_sequence(
     if len(tokens) == 1 and len(tokens[0]) > 1:
         compact = tokens[0]
         if "0" in compact:
-            raise ParseError(f"compact sequence {compact!r} holds 0; write the hook as *")
+            raise ParseError(f"compact sequence {_quote(compact)} holds 0; write the hook as *")
         tokens = list(compact)  # one token per character, checked below
     values = [0 if tok == "*" else _ascii_int(tok) for tok in tokens]
     entries = [HOOK if value == 0 else value for value in values]
@@ -299,7 +290,7 @@ def parse_pairs(text: str) -> PairSystem:
     for tok in text.split():
         parts = tok.split("-")
         if len(parts) != 2:
-            raise ParseError(f"bad pair token {tok!r}")
+            raise ParseError(f"bad pair token {_quote(tok)}")
         pairs.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
     return PairSystem(tuple(pairs))
 
@@ -333,7 +324,7 @@ def pair_system_to_json(ps: PairSystem, k: int, d: int) -> str:
 def _json_int(value) -> int:
     # bool is an int subclass, and int() would silently truncate a float.
     if type(value) is not int:
-        raise ParseError(f"{value!r} is not an integer")
+        raise ParseError(f"{_quote(value)} is not an integer")
     return value
 
 

@@ -347,7 +347,7 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
 
 
 def _graph_solve(args):
-    p, edges, k, d, stop, keep, first_label = args
+    p, edges, k, d, memo_at, stop, keep, first_label = args
     w = p + 1
     # A difference above p joins no two labels of {1..p-1, p+1}; dropping
     # it keeps w - e, the shift that builds rev, non-negative.
@@ -356,12 +356,12 @@ def _graph_solve(args):
     rev = sum(1 << (w - e) for e in targets)
     free = sum(1 << lab for lab in target_label_set(p))
     prev = [[] for _ in range(p)]
-    # One memo serves every vertex that no edge spans, and only in count and
-    # exists: a stored subtree yields no labels.
-    memos = [None if keep else {}] * p + [None]
     for u, v in edges:  # 1-based in Graph, with u < v
         prev[v - 1].append(u - 1)
-        memos[u:v] = [None] * (v - u)  # the edge spans vertices u..v-1, 0-based
+    # One memo serves every vertex in memo_at, and only in count and exists:
+    # a stored subtree yields no labels.
+    memo = None if keep else {}
+    memos = [memo if at else None for at in memo_at] + [None]
     labels = [0] * p
     counter = [0, 0]  # nodes, solutions
     out: list = []
@@ -389,13 +389,16 @@ def search_graph(
         raise BoundExceeded(f"p={g.p} exceeds bound {DEFAULT_GRAPH_BOUND}")
     if not size_necessary(g.p, g.q):
         return _search(lambda args: (0, [], 0), (), (), mode, limit, jobs, VertexLabeling)
-    # Root tasks would each rebuild the count and exists memo, so a graph
-    # with a memo vertex other than 0 (one that no edge spans) runs serially.
-    spanned = {x for u, v in g.edges for x in range(u, v)}  # 0-based
-    memo = mode in ("count", "exists") and len(spanned) < g.p - 1
-    roots = () if memo else sorted(target_label_set(g.p))
-    return _search(_graph_solve, (g.p, g.edges, k, d), roots, mode, limit, jobs,
-                   VertexLabeling)
+    # memo_at[x]: no edge spans vertex x (0-based), so the count and exists
+    # memo works there.  Root tasks would each rebuild that memo, so a graph
+    # with a memo vertex other than 0 runs serially in those modes.
+    memo_at = [True] * g.p
+    for u, v in g.edges:  # 1-based, with u < v: the edge spans u..v-1
+        memo_at[u:v] = [False] * (v - u)
+    serial = mode in ("count", "exists") and any(memo_at[1:])
+    roots = () if serial else sorted(target_label_set(g.p))
+    return _search(_graph_solve, (g.p, g.edges, k, d, memo_at), roots, mode, limit,
+                   jobs, VertexLabeling)
 
 
 # ---------------------------------------------------------------------------

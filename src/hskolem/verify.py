@@ -2,7 +2,8 @@
 
 Checks report violations rather than raising; every violated condition is
 enumerated (capped) with a stable condition id, so reports are usable as
-golden-test text.
+golden-test text.  Only this module builds a VerifyReport, and one
+certifier, verify_sequence, serves every sequence kind from the form's tag.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from .core import (
     Graph,
     PairSystem,
     SequenceForm,
-    SequenceKind,
     ShapeMismatch,
     VertexLabeling,
-    VerifyReport,
     edge_target_set,
     induced_edge_labels,
     pair_system_labeling,
@@ -44,6 +43,23 @@ class PartitionCensus:
     odd_count: int
     even_count: int
     cross_edges: int
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Pass/fail certification with every violated condition enumerated."""
+
+    violations: tuple[tuple[str, str], ...]
+    census: PartitionCensus | None = None
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
+
+    def to_text(self) -> str:
+        if self.valid:
+            return "VALID"
+        return "\n".join(f"VIOLATION {cid}: {detail}" for cid, detail in self.violations)
 
 
 def _report(violations, census=None) -> VerifyReport:
@@ -97,12 +113,14 @@ def verify_pair_system(ps: PairSystem, k: int, d: int) -> VerifyReport:
     return verify_labeling(g, f, k, d)
 
 
-def _verify_sequence(s: SequenceForm, kind: SequenceKind, d: int) -> VerifyReport:
+def verify_sequence(s: SequenceForm) -> VerifyReport:
+    """Certify s as a sequence of its own kind tag and least value s.d:
+    the hook, multiplicity and distance conditions, in that order."""
     violations = []
     length = len(s.entries)
     hooks = s.hook_positions()
     m = length // 2
-    want_length, hook, least = sequence_shape(kind, m, d)
+    want_length, hook, least = sequence_shape(s.kind, m, s.d)
 
     # Hook/shape conditions come first so report text is deterministic.
     if hook is None:
@@ -134,23 +152,6 @@ def _verify_sequence(s: SequenceForm, kind: SequenceKind, d: int) -> VerifyRepor
                            f"distance {where[1] - where[0]}")
             )
     return _report(violations)
-
-
-def verify_skolem_sequence(s: SequenceForm) -> VerifyReport:
-    return _verify_sequence(s, SequenceKind.SKOLEM, 1)
-
-
-def verify_hooked_skolem_sequence(s: SequenceForm) -> VerifyReport:
-    return _verify_sequence(s, SequenceKind.HOOKED_SKOLEM, 1)
-
-
-def verify_hooked_sequence(s: SequenceForm, d: int) -> VerifyReport:
-    return _verify_sequence(s, SequenceKind.HOOKED, d)
-
-
-def verify_sequence(s: SequenceForm) -> VerifyReport:
-    """Certify s as a sequence of its own kind tag."""
-    return _verify_sequence(s, s.kind, s.d)
 
 
 def check_sum_identity(ps: PairSystem, k: int, d: int) -> VerifyReport:

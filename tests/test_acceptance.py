@@ -24,8 +24,8 @@ from hskolem import (
     search_hooked_skolem,
     search_nk2,
     search_skolem,
-    verify_hooked_sequence,
     verify_pair_system,
+    verify_sequence,
     SequenceKind,
 )
 
@@ -136,7 +136,7 @@ def test_criterion_8_hooked_sequence_soundness():
     assert search_hooked_sequence(3, 6, "exists").exists
     for text in ("4 8 5 7 4 3 6 5 3 8 7 * 6", "6 4 7 5 8 4 6 3 5 7 3 * 8"):
         s = parse_sequence(text, kind=SequenceKind.HOOKED, d=3)
-        assert verify_hooked_sequence(s, 3).valid
+        assert verify_sequence(s).valid
     _passed(8, "hooked-sequence necessary condition sound; d=3, m=6 witnesses")
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hskolem import cli
+from hskolem import NotGraceful, cli, construct_nk2_21
 from hskolem.core import pair_system_from_json
 
 
@@ -31,6 +31,11 @@ class TestConstruct:
         code, out, err = run_cli("construct", "nk2", "--n", "3")
         assert code == 2
         assert "not (2,1)-hooked Skolem graceful" in err
+
+    def test_not_graceful_prints_the_exception_message(self):
+        with pytest.raises(NotGraceful) as info:
+            construct_nk2_21(7)
+        assert run_cli("construct", "nk2", "--n", "7") == (2, "", f"{info.value}\n")
 
     def test_n9_json_round_trip(self):
         code, out, _ = run_cli("construct", "nk2", "--n", "9", "--format", "json")
@@ -164,12 +169,15 @@ class TestSearch:
         assert code == 0
         assert out == "1 2 4\n"
 
+    # search graph has no --p flag: the edge-list file states p.
     def test_graph_p_mismatch(self, tmp_path):
         path = tmp_path / "p3.edges"
         path.write_text("p 3\n1 2\n2 3\n")
-        code, _, _ = run_cli("search", "graph", "--edges", str(path), "--p", "5",
-                             "--k", "1", "--d", "1", "--mode", "exists")
-        assert code == 65
+        for p in ("3", "5"):
+            code, out, err = run_cli("search", "graph", "--edges", str(path), "--p", p,
+                                     "--k", "1", "--d", "1", "--mode", "exists")
+            assert code == 64
+            assert out == "" and "unrecognized arguments: --p" in err
 
     def test_graph_with_one_vertex_is_bad_data(self, tmp_path):
         path = tmp_path / "p1.edges"
@@ -348,6 +356,30 @@ class TestUsage:
         assert code == 64
 
 
+_HUGE = "x" * 100_000
+
+
+class TestOversizedToken:
+    # The error line quotes a bounded prefix of the bad token.
+    @pytest.mark.parametrize("argv, text", [
+        (["convert", "--from", "pairs", "--to", "pairs", "--in"], "[" * 100_000),
+        (["convert", "--from", "sequence", "--to", "pairs", "--in"], "1 " + _HUGE),
+        (["search", "graph", "--k", "1", "--d", "1", "--edges"], f"p 3\n1 {_HUGE}\n"),
+        (["verify", "labeling", "--file"],
+         json.dumps({"n": 1, "k": 2, "d": 1, "pairs": [[1, _HUGE]]})),
+        (["convert", "--from", "pairs", "--to", "pairs", "--in"], "1-" + "1" * 100_000),
+        (["convert", "--from", "sequence", "--to", "pairs", "--in"], "1" * 100_000 + "0"),
+    ], ids=["pair-token", "sequence-token", "edge-token", "json-value",
+            "too-many-digits", "compact-with-zero"])
+    def test_short_error(self, tmp_path, argv, text):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = run_cli(*argv, str(path))
+        assert code == 65 and out == ""
+        assert len(err.encode()) < 300 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize("argv", [
         ["verify", "labeling", "--file"],
@@ -428,7 +460,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _HYGIENE = """
 import sys
 before = set(sys.modules)
-from hskolem import cli
+from hskolem import NotGraceful, cli, construct_nk2_21
 assert cli.main(["search", "nk2", "--n", "6", "--k", "2", "--d", "1",
                  "--mode", "count"]) == 0
 assert cli.main(["construct", "nk2", "--n", "9"]) == 0
@@ -442,7 +474,7 @@ sys.exit(f"loaded {lazy}" if lazy else 0)
 # pages, which exec carries over.
 _SURVEY_RSS = """
 import sys
-from hskolem import cli
+from hskolem import NotGraceful, cli, construct_nk2_21
 code = cli.main(["survey", "nk2", "--n-max", "200000", "--k", "2", "--d", "1"])
 sys.stdout.flush()
 with open("/proc/self/status") as status:

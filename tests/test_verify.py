@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import hskolem
+from hskolem import core, verify
 from hskolem import (
     HOOK,
     DomainError,
@@ -13,12 +15,9 @@ from hskolem import (
     parse_sequence,
     partition_census,
     search_hooked_skolem,
-    verify_hooked_sequence,
-    verify_hooked_skolem_sequence,
     verify_labeling,
     verify_pair_system,
     verify_sequence,
-    verify_skolem_sequence,
 )
 
 FIG2_5K2 = PairSystem(((1, 4), (2, 6), (3, 8), (5, 11), (7, 9)))
@@ -51,32 +50,32 @@ class TestVerifyLabeling:
 
 class TestVerifySkolem:
     def test_order1(self):
-        assert verify_skolem_sequence(seq("1 1", SequenceKind.SKOLEM)).valid
+        assert verify_sequence(seq("1 1", SequenceKind.SKOLEM)).valid
 
     def test_order4(self):
         # membership confirmed against the brute-force oracle in test_search
-        assert verify_skolem_sequence(
+        assert verify_sequence(
             seq("1 1 3 4 2 3 2 4", SequenceKind.SKOLEM)).valid
 
     def test_distance_violation(self):
-        report = verify_skolem_sequence(seq("1 2 1 2", SequenceKind.SKOLEM))
+        report = verify_sequence(seq("1 2 1 2", SequenceKind.SKOLEM))
         assert not report.valid
         assert report.violations[0][0] == "distance"
 
 
 class TestVerifyHookedSkolem:
     def test_order2(self):
-        assert verify_hooked_skolem_sequence(
+        assert verify_sequence(
             seq("1 1 2 0 2", SequenceKind.HOOKED_SKOLEM)).valid
 
     def test_order1_impossible(self):
-        assert not verify_hooked_skolem_sequence(
+        assert not verify_sequence(
             seq("1 1 0", SequenceKind.HOOKED_SKOLEM)).valid
-        assert not verify_hooked_skolem_sequence(
+        assert not verify_sequence(
             seq("1 0 1", SequenceKind.HOOKED_SKOLEM)).valid
 
     def test_paper_hooked_is_not_hooked_skolem(self):
-        report = verify_hooked_skolem_sequence(
+        report = verify_sequence(
             seq("4 8 5 7 4 3 6 5 3 8 7 * 6", SequenceKind.HOOKED_SKOLEM))
         assert not report.valid
         assert any(cid == "multiplicity" for cid, _ in report.violations)
@@ -84,21 +83,21 @@ class TestVerifyHookedSkolem:
 
 class TestVerifyHooked:
     def test_first_paper_example(self):
-        assert verify_hooked_sequence(
-            seq("4 8 5 7 4 3 6 5 3 8 7 * 6", SequenceKind.HOOKED, 3), 3).valid
+        assert verify_sequence(
+            seq("4 8 5 7 4 3 6 5 3 8 7 * 6", SequenceKind.HOOKED, 3)).valid
 
     def test_second_paper_example(self):
-        assert verify_hooked_sequence(
-            seq("6 4 7 5 8 4 6 3 5 7 3 * 8", SequenceKind.HOOKED, 3), 3).valid
+        assert verify_sequence(
+            seq("6 4 7 5 8 4 6 3 5 7 3 * 8", SequenceKind.HOOKED, 3)).valid
 
     def test_hook_must_sit_at_2m(self):
-        report = verify_hooked_sequence(
-            seq("4 8 5 7 4 3 6 5 3 8 7 6 *", SequenceKind.HOOKED, 3), 3)
+        report = verify_sequence(
+            seq("4 8 5 7 4 3 6 5 3 8 7 6 *", SequenceKind.HOOKED, 3))
         assert not report.valid
         assert report.violations[0][0] == "hook_position"
 
     def test_hook_check_precedes_multiplicity(self):
-        report = verify_hooked_skolem_sequence(
+        report = verify_sequence(
             seq("1 1 * 2 2", SequenceKind.HOOKED_SKOLEM))
         assert not report.valid
         assert report.violations[0][0] == "hook_position"
@@ -106,11 +105,9 @@ class TestVerifyHooked:
 
 class TestHookedDBelowOne:
     def test_rejected(self):
-        s = SequenceForm(SequenceKind.HOOKED, (1, 1, 2, HOOK, 2))
+        s = SequenceForm(SequenceKind.HOOKED, (1, 1, 2, HOOK, 2), d=0)
         with pytest.raises(DomainError):
-            verify_hooked_sequence(s, 0)
-        with pytest.raises(DomainError):
-            verify_sequence(SequenceForm(SequenceKind.HOOKED, s.entries, d=0))
+            verify_sequence(s)
 
 
 class TestHookedD1CoincidesWithHookedSkolem:
@@ -118,7 +115,7 @@ class TestHookedD1CoincidesWithHookedSkolem:
         for m in range(1, 5):
             for s in search_hooked_skolem(m, "enumerate").solutions:
                 as_hooked = SequenceForm(SequenceKind.HOOKED, s.entries, d=1)
-                assert verify_hooked_sequence(as_hooked, 1).valid
+                assert verify_sequence(as_hooked).valid
 
     @given(st.integers(1, 3), st.data())
     def test_on_random_fillings(self, m, data):
@@ -131,8 +128,8 @@ class TestHookedD1CoincidesWithHookedSkolem:
         entries = tuple(HOOK if e is None else e for e in entries)
         s = SequenceForm(SequenceKind.HOOKED_SKOLEM, entries)
         hooked = SequenceForm(SequenceKind.HOOKED, entries, d=1)
-        assert (verify_hooked_skolem_sequence(s).valid
-                == verify_hooked_sequence(hooked, 1).valid)
+        assert (verify_sequence(s).valid
+                == verify_sequence(hooked).valid)
 
 
 class TestPartitionCensus:
@@ -180,9 +177,29 @@ class TestSumIdentity:
 class TestLengthShapes:
     def test_skolem_rejects_odd_length(self):
         s = SequenceForm(SequenceKind.SKOLEM, (1, 1, 2))
-        assert not verify_skolem_sequence(s).valid
+        assert not verify_sequence(s).valid
 
     def test_hooked_rejects_even_length(self):
         from hskolem import HOOK
         s = SequenceForm(SequenceKind.HOOKED_SKOLEM, (1, 1, HOOK, 2))
-        assert not verify_hooked_skolem_sequence(s).valid
+        assert not verify_sequence(s).valid
+
+
+class TestOneSequenceCertifier:
+    def test_kind_and_d_come_from_the_form(self):
+        entries = parse_sequence("4 8 5 7 4 3 6 5 3 8 7 * 6").entries
+        assert verify_sequence(SequenceForm(SequenceKind.HOOKED, entries, d=3)).valid
+        report = verify_sequence(SequenceForm(SequenceKind.HOOKED, entries, d=2))
+        assert ("multiplicity", "value 2 appears 0 times") in report.violations
+        report = verify_sequence(SequenceForm(SequenceKind.HOOKED_SKOLEM, entries, d=3))
+        assert ("multiplicity", "value 1 appears 0 times") in report.violations
+
+    def test_no_per_kind_wrappers(self):
+        for name in ("verify_skolem_sequence", "verify_hooked_skolem_sequence",
+                     "verify_hooked_sequence", "_verify_sequence"):
+            assert not hasattr(hskolem, name) and not hasattr(verify, name)
+
+    def test_report_type_lives_in_verify(self):
+        assert hskolem.VerifyReport is verify.VerifyReport
+        assert not hasattr(core, "VerifyReport")
+        assert isinstance(verify_pair_system(FIG1_6K2, 2, 1).census, verify.PartitionCensus)
