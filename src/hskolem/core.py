@@ -209,11 +209,12 @@ def sequence_shape(kind: SequenceKind, m: int, d: int = 1) -> tuple[int, int | N
 def pairs_to_sequence(ps: PairSystem, kind: SequenceKind, d: int = 1) -> SequenceForm:
     """Place value b-a at positions a and b; hooked kinds hook position 2m."""
     length, hook, least = sequence_shape(kind, ps.n, d)
-    required = set(range(1, length + 1)) - {hook}
-    if set(ps.values()) != required:
+    required, values = set(range(1, length + 1)) - {hook}, set(ps.values())
+    if values != required:
+        missing, extra = sorted(required - values), sorted(values - required)
         raise PositionSetMismatch(
-            f"pair values {sorted(ps.values())} != positions {sorted(required)}"
-        )
+            f"pair values are not the sequence positions: {len(missing)} missing "
+            f"{_quote(missing[:5])}, {len(extra)} extra {_quote(extra[:5])}")
     entries: list = [HOOK] * length
     for a, b in ps.pairs:
         entries[a - 1] = entries[b - 1] = b - a

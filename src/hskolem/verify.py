@@ -2,8 +2,9 @@
 
 Checks report violations rather than raising; every violated condition is
 enumerated (capped) with a stable condition id, so reports are usable as
-golden-test text.  Only this module builds a VerifyReport, and one
-certifier, verify_sequence, serves every sequence kind from the form's tag.
+golden-test text.  Only this module builds a VerifyReport: verify_labeling
+certifies any graph, verify_pair_system an nK2 pair system straight from its
+pairs, and one certifier, verify_sequence, every sequence kind by its tag.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .core import (
     VertexLabeling,
     edge_target_set,
     induced_edge_labels,
-    pair_system_labeling,
+    pair_system_labeling,  # not called here: perfbench/tracing.py patches it in this module
     sequence_shape,
     target_label_set,
 )
@@ -108,9 +109,35 @@ def verify_labeling(g: Graph, f: VertexLabeling, k: int, d: int) -> VerifyReport
 
 
 def verify_pair_system(ps: PairSystem, k: int, d: int) -> VerifyReport:
-    """Certify a pair system as an nK2 labeling (canonical nK2 reading)."""
-    g, f = pair_system_labeling(ps)
-    return verify_labeling(g, f, k, d)
+    """Certify ps as a (k,d)-hooked Skolem graceful labeling of nK2, pair i
+    on edge i.  It certifies the pairs directly, with the ids, texts and
+    order of verify_labeling, which serves general graphs.  PairSystem
+    values are distinct, so no label can repeat."""
+    n = ps.n
+    violations = []
+
+    values = ps.values()
+    labels, target = set(values), target_label_set(2 * n)
+    for lab in sorted(labels - target):
+        violations.append((VERTEX_LABEL_SET, f"label {lab} not in {{1..{2 * n - 1}, {2 * n + 1}}}"))
+    for lab in sorted(target - labels):
+        violations.append((VERTEX_LABEL_SET, f"label {lab} missing"))
+
+    diffs = ps.differences()
+    induced, targets = set(diffs), set(edge_target_set(k, d, n))
+    if len(induced) != n:
+        for lab, cnt in sorted(Counter(diffs).items()):
+            if cnt > 1:
+                violations.append((EDGE_LABEL_REPEAT, f"edge label {lab} induced {cnt} times"))
+    for lab in sorted(induced - targets):
+        violations.append((EDGE_LABEL_SET, f"edge label {lab} outside target progression"))
+    for lab in sorted(targets - induced):
+        violations.append((EDGE_LABEL_SET, f"edge label {lab} never induced"))
+
+    # An edge crosses the odd/even classes exactly when its difference is odd.
+    odd = len([x for x in values if x & 1])
+    cross = len([x for x in diffs if x & 1])
+    return _report(violations, PartitionCensus(odd, 2 * n - odd, cross))
 
 
 def verify_sequence(s: SequenceForm) -> VerifyReport:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hskolem import NotGraceful, cli, construct_nk2_21
-from hskolem.core import pair_system_from_json
+from hskolem.core import format_pairs, pair_system_from_json
 
 
 def run_cli(*args):
@@ -369,8 +369,10 @@ class TestOversizedToken:
          json.dumps({"n": 1, "k": 2, "d": 1, "pairs": [[1, _HUGE]]})),
         (["convert", "--from", "pairs", "--to", "pairs", "--in"], "1-" + "1" * 100_000),
         (["convert", "--from", "sequence", "--to", "pairs", "--in"], "1" * 100_000 + "0"),
+        (["convert", "--from", "pairs", "--to", "sequence", "--kind", "skolem", "--in"],
+         format_pairs(construct_nk2_21(12001))),
     ], ids=["pair-token", "sequence-token", "edge-token", "json-value",
-            "too-many-digits", "compact-with-zero"])
+            "too-many-digits", "compact-with-zero", "position-mismatch"])
     def test_short_error(self, tmp_path, argv, text):
         path = tmp_path / "input"
         path.write_text(text)

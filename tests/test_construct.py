@@ -1,7 +1,10 @@
 import pytest
 
+from hskolem import construct
 from hskolem import (
+    ConstructionBug,
     NotGraceful,
+    PairSystem,
     UseBaseCase,
     base_cases,
     construct_nk2_21,
@@ -126,3 +129,20 @@ class TestConstruct:
         assert construct_nk2_21(9).pairs == R3_EXPECTED
         assert construct_nk2_21(13) == odd_family_labels(4)
         assert construct_nk2_21(18) == even_family_labels(5)
+
+
+class TestDamagedFamilyOutput:
+    # Swap the larger labels of the first two pairs, as a transcription slip
+    # in a formula branch would; certification must catch it.
+    @pytest.mark.parametrize("n, generator", [(14, "even_family_labels"),
+                                              (13, "odd_family_labels")])
+    def test_raises_construction_bug(self, monkeypatch, n, generator):
+        family = getattr(construct, generator)
+
+        def damaged(r):
+            (a1, b1), (a2, b2), *rest = family(r).pairs
+            return PairSystem(((a1, b2), (a2, b1), *rest))
+
+        monkeypatch.setattr(construct, generator, damaged)
+        with pytest.raises(ConstructionBug, match=f"n={n} failed certification:\nVIOLATION"):
+            construct_nk2_21(n)

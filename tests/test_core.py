@@ -142,6 +142,21 @@ class TestConversions:
             pairs_to_sequence(PairSystem(((1, 3), (2, 4))),
                               SequenceKind.HOOKED_SKOLEM)
 
+    def test_position_set_mismatch_message_is_short(self):
+        # 2n+1 in place of 2n, as in every (2,1) construction read as Skolem
+        n = 5000
+        ps = PairSystem(tuple((i, i + n) for i in range(1, n)) + ((n, 2 * n + 1),))
+        with pytest.raises(PositionSetMismatch) as info:
+            pairs_to_sequence(ps, SequenceKind.SKOLEM)
+        assert str(info.value) == (
+            "pair values are not the sequence positions: 1 missing [10000], 1 extra [10001]")
+        with pytest.raises(PositionSetMismatch) as info:
+            pairs_to_sequence(PairSystem(tuple((i, i + n) for i in range(n + 1, 2 * n + 1))),
+                              SequenceKind.SKOLEM)
+        assert str(info.value) == (
+            "pair values are not the sequence positions: 5000 missing "
+            "[1, 2, 3, 4, 5], 5000 extra [10001, 10002, 10003, 10004, 10005]")
+
     def test_sequence_to_pairs_simple(self):
         s = parse_sequence("1 1 2 0 2", kind=SequenceKind.HOOKED_SKOLEM)
         assert sequence_to_pairs(s).pairs == ((1, 2), (3, 5))

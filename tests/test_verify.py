@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +15,9 @@ from hskolem import (
     SequenceKind,
     VertexLabeling,
     check_sum_identity,
+    construct_nk2_21,
     nk2_graph,
+    nk2_parity_feasible,
     parse_sequence,
     partition_census,
     search_hooked_skolem,
@@ -203,3 +209,64 @@ class TestOneSequenceCertifier:
         assert hskolem.VerifyReport is verify.VerifyReport
         assert not hasattr(core, "VerifyReport")
         assert isinstance(verify_pair_system(FIG1_6K2, 2, 1).census, verify.PartitionCensus)
+
+
+def _swapped(ps, i, j):
+    """ps with its i-th and j-th labels (in values() order) exchanged."""
+    values, pairs = ps.values(), list(ps.pairs)
+    values[i], values[j] = values[j], values[i]
+    for t in (i // 2, j // 2):
+        pairs[t] = tuple(sorted(values[2 * t:2 * t + 2]))
+    return PairSystem(tuple(pairs))
+
+
+def _sweep_cases():
+    """(ps, k, d): every construct output for n <= 40 under each k <= 4,
+    d <= 3 and, at (2, 1), with every swap of two labels across pairs; then
+    seeded random distinct-value systems, some on the hooked label set and
+    some reaching past it on both sides."""
+    for n in range(1, 41):
+        if not nk2_parity_feasible(n, 2, 1):
+            continue
+        ps = construct_nk2_21(n)
+        for k, d in itertools.product(range(1, 5), range(1, 4)):
+            yield ps, k, d
+        for i, j in itertools.combinations(range(2 * n), 2):
+            if i // 2 != j // 2:
+                yield _swapped(ps, i, j), 2, 1
+    rng = random.Random(14)
+    for trial in range(2000):
+        n = rng.randint(1, 9)
+        if trial % 2:
+            labels = sorted(core.target_label_set(2 * n))
+            rng.shuffle(labels)
+        else:
+            labels = rng.sample(range(-2, 2 * n + 5), 2 * n)
+        pairs = tuple(tuple(sorted(labels[t:t + 2])) for t in range(0, 2 * n, 2))
+        yield PairSystem(pairs), rng.randint(1, 4), rng.randint(1, 3)
+
+
+class TestDirectPairSystemCertifier:
+    # SHA-256 over every report text of the sweep, each followed by a blank
+    # line; both certifiers give this digest.
+    SWEEP_SHA256 = "f58324a4058dc248b94bdc45235ea67a6d5de079ce6cd22aa982876485fac00b"
+
+    def test_matches_the_graph_certifier(self):
+        digest, cases, invalid = hashlib.sha256(), 0, 0
+        for ps, k, d in _sweep_cases():
+            direct = verify_pair_system(ps, k, d)
+            graph = verify_labeling(*core.pair_system_labeling(ps), k, d)
+            text = direct.to_text()
+            assert (text, direct.census) == (graph.to_text(), graph.census), (ps, k, d)
+            digest.update(text.encode() + b"\n\n")
+            cases += 1
+            invalid += not direct.valid
+        assert (cases, invalid) == (21960, 21904)
+        assert digest.hexdigest() == self.SWEEP_SHA256
+
+    @pytest.mark.parametrize("k, d", [(0, 1), (2, 0)])
+    def test_non_positive_k_or_d_raises_like_the_graph_certifier(self, k, d):
+        with pytest.raises(DomainError):
+            verify_labeling(*core.pair_system_labeling(FIG2_5K2), k, d)
+        with pytest.raises(DomainError):
+            verify_pair_system(FIG2_5K2, k, d)
