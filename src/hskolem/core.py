@@ -206,6 +206,15 @@ def sequence_shape(kind: SequenceKind, m: int, d: int = 1) -> tuple[int, int | N
     return 2 * m + 1, 2 * m, d
 
 
+def _placed(pairs, length: int) -> list:
+    """The positional sequence format: value b-a at positions a and b of a
+    list of the given length, every other position a hook."""
+    entries: list = [HOOK] * length
+    for a, b in pairs:
+        entries[a - 1] = entries[b - 1] = b - a
+    return entries
+
+
 def pairs_to_sequence(ps: PairSystem, kind: SequenceKind, d: int = 1) -> SequenceForm:
     """Place value b-a at positions a and b; hooked kinds hook position 2m."""
     length, hook, least = sequence_shape(kind, ps.n, d)
@@ -215,10 +224,7 @@ def pairs_to_sequence(ps: PairSystem, kind: SequenceKind, d: int = 1) -> Sequenc
         raise PositionSetMismatch(
             f"pair values are not the sequence positions: {len(missing)} missing "
             f"{_quote(missing[:5])}, {len(extra)} extra {_quote(extra[:5])}")
-    entries: list = [HOOK] * length
-    for a, b in ps.pairs:
-        entries[a - 1] = entries[b - 1] = b - a
-    return SequenceForm(kind, tuple(entries), d=least)
+    return SequenceForm(kind, _placed(ps.pairs, length), d=least)
 
 
 def sequence_to_pairs(s: SequenceForm) -> PairSystem:

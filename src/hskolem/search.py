@@ -47,18 +47,17 @@ each root task stops on its own.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 from .conditions import nk2_parity_feasible, size_necessary
 from .core import (
-    HOOK,
     DomainError,
     Graph,
     PairSystem,
     SequenceForm,
     SequenceKind,
     VertexLabeling,
+    _placed,
     edge_target_set,
     sequence_shape,
     target_label_set,
@@ -96,7 +95,6 @@ class SearchStats:
     not depend on the memo, only the work done does."""
 
     nodes_expanded: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -134,7 +132,6 @@ def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
     kept, nodes); it keeps [] when keep is off.  The merge adds one node for
     the root, which no root task expands.  roots may be lazy: the serial
     call, with root None, never reads it."""
-    t0 = time.perf_counter()
     stop, keep = _stop_for(mode, limit, jobs)
     tasks = [(*args, stop, keep, root) for root in roots] if jobs > 1 else ()
     if tasks:
@@ -150,8 +147,8 @@ def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
         count, sols, nodes = solve((*args, stop, keep, None))
     if sols:
         sols = [wrap(sol) for sol in sols]
-    stats = SearchStats(nodes, time.perf_counter() - t0)
-    return SearchOutcome(count > 0, count if mode == "count" else None, sols, stats)
+    return SearchOutcome(count > 0, count if mode == "count" else None, sols,
+                         SearchStats(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +247,8 @@ def search_sequence(
     if m > DEFAULT_SEQUENCE_BOUND and not force:
         raise BoundExceeded(f"m={m} exceeds bound {DEFAULT_SEQUENCE_BOUND}")
 
-    def wrap(flat):
-        entries = [HOOK] * (length + 1)  # 1-based: slot 0 is dropped
-        for a, b in zip(flat[::2], flat[1::2]):
-            entries[a] = entries[b] = b - a
-        return SequenceForm(kind, entries[1:], d=least)
+    def wrap(flat):  # the search guarantees the position set: no check here
+        return SequenceForm(kind, _placed(zip(flat[::2], flat[1::2]), length), d=least)
 
     free = (1 << (length + 1)) - 2  # positions 1..length
     if hook is not None:

@@ -2,9 +2,11 @@
 
 Checks report violations rather than raising; every violated condition is
 enumerated (capped) with a stable condition id, so reports are usable as
-golden-test text.  Only this module builds a VerifyReport: verify_labeling
-certifies any graph, verify_pair_system an nK2 pair system straight from its
-pairs, and one certifier, verify_sequence, every sequence kind by its tag.
+golden-test text.  Only this module builds a VerifyReport.  One body
+certifies labelings, fed by two derivations of its inputs: verify_labeling
+takes a graph's labels and induced edge labels, verify_pair_system an nK2
+pair system's values and differences.  One certifier, verify_sequence,
+serves every sequence kind by its tag.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .core import (
     Graph,
     PairSystem,
     SequenceForm,
-    ShapeMismatch,
     VertexLabeling,
     edge_target_set,
     induced_edge_labels,
@@ -67,66 +68,34 @@ def _report(violations, census=None) -> VerifyReport:
     return VerifyReport(tuple(violations[:MAX_VIOLATIONS]), census)
 
 
+def _census(labels, edge_labels) -> PartitionCensus:
+    # An edge crosses the odd/even label classes exactly when its label is odd.
+    odd = len([x for x in labels if x & 1])
+    return PartitionCensus(odd, len(labels) - odd, len([x for x in edge_labels if x & 1]))
+
+
 def partition_census(g: Graph, f: VertexLabeling) -> PartitionCensus:
-    if len(f.labels) != g.p:
-        raise ShapeMismatch(f"{len(f.labels)} labels for {g.p} vertices")
-    odd = sum(1 for x in f.labels if x % 2 == 1)
-    cross = sum(
-        1 for u, v in g.edges if (f.labels[u - 1] + f.labels[v - 1]) % 2 == 1
-    )
-    return PartitionCensus(odd, g.p - odd, cross)
+    return _census(f.labels, induced_edge_labels(g, f))
 
 
-def verify_labeling(g: Graph, f: VertexLabeling, k: int, d: int) -> VerifyReport:
-    """Certify f as a (k,d)-hooked Skolem graceful labeling of g."""
-    if len(f.labels) != g.p:
-        raise ShapeMismatch(f"{len(f.labels)} labels for {g.p} vertices")
-    violations = []
-
-    target = target_label_set(g.p)
-    label_counts = Counter(f.labels)
-    for lab, cnt in sorted(label_counts.items()):
-        if cnt > 1:
-            violations.append(
-                (VERTEX_LABEL_SET, f"label {lab} used {cnt} times")
-            )
-    for lab in sorted(set(f.labels) - target):
-        violations.append((VERTEX_LABEL_SET, f"label {lab} not in {{1..{g.p - 1}, {g.p + 1}}}"))
-    for lab in sorted(target - set(f.labels)):
+def _certify(labels, edge_labels, k: int, d: int) -> VerifyReport:
+    """The one certifier body: labels against {1..p-1, p+1}, p = len(labels),
+    edge labels against the progression k, k+d, ...; then the census."""
+    p, violations = len(labels), []
+    distinct, target = set(labels), target_label_set(p)
+    if len(distinct) != p:
+        for lab, cnt in sorted(Counter(labels).items()):
+            if cnt > 1:
+                violations.append((VERTEX_LABEL_SET, f"label {lab} used {cnt} times"))
+    for lab in sorted(distinct - target):
+        violations.append((VERTEX_LABEL_SET, f"label {lab} not in {{1..{p - 1}, {p + 1}}}"))
+    for lab in sorted(target - distinct):
         violations.append((VERTEX_LABEL_SET, f"label {lab} missing"))
 
-    edge_labels = induced_edge_labels(g, f)
-    targets = set(edge_target_set(k, d, g.q))
-    for lab, cnt in sorted(Counter(edge_labels).items()):
-        if cnt > 1:
-            violations.append((EDGE_LABEL_REPEAT, f"edge label {lab} induced {cnt} times"))
-    for lab in sorted(set(edge_labels) - targets):
-        violations.append((EDGE_LABEL_SET, f"edge label {lab} outside target progression"))
-    for lab in sorted(targets - set(edge_labels)):
-        violations.append((EDGE_LABEL_SET, f"edge label {lab} never induced"))
-
-    return _report(violations, partition_census(g, f))
-
-
-def verify_pair_system(ps: PairSystem, k: int, d: int) -> VerifyReport:
-    """Certify ps as a (k,d)-hooked Skolem graceful labeling of nK2, pair i
-    on edge i.  It certifies the pairs directly, with the ids, texts and
-    order of verify_labeling, which serves general graphs.  PairSystem
-    values are distinct, so no label can repeat."""
-    n = ps.n
-    violations = []
-
-    values = ps.values()
-    labels, target = set(values), target_label_set(2 * n)
-    for lab in sorted(labels - target):
-        violations.append((VERTEX_LABEL_SET, f"label {lab} not in {{1..{2 * n - 1}, {2 * n + 1}}}"))
-    for lab in sorted(target - labels):
-        violations.append((VERTEX_LABEL_SET, f"label {lab} missing"))
-
-    diffs = ps.differences()
-    induced, targets = set(diffs), set(edge_target_set(k, d, n))
-    if len(induced) != n:
-        for lab, cnt in sorted(Counter(diffs).items()):
+    q = len(edge_labels)
+    induced, targets = set(edge_labels), set(edge_target_set(k, d, q))
+    if len(induced) != q:
+        for lab, cnt in sorted(Counter(edge_labels).items()):
             if cnt > 1:
                 violations.append((EDGE_LABEL_REPEAT, f"edge label {lab} induced {cnt} times"))
     for lab in sorted(induced - targets):
@@ -134,10 +103,20 @@ def verify_pair_system(ps: PairSystem, k: int, d: int) -> VerifyReport:
     for lab in sorted(targets - induced):
         violations.append((EDGE_LABEL_SET, f"edge label {lab} never induced"))
 
-    # An edge crosses the odd/even classes exactly when its difference is odd.
-    odd = len([x for x in values if x & 1])
-    cross = len([x for x in diffs if x & 1])
-    return _report(violations, PartitionCensus(odd, 2 * n - odd, cross))
+    return _report(violations, _census(labels, edge_labels))
+
+
+def verify_labeling(g: Graph, f: VertexLabeling, k: int, d: int) -> VerifyReport:
+    """Certify f as a (k,d)-hooked Skolem graceful labeling of g: the shared
+    body on f's labels and the edge labels they induce on g."""
+    return _certify(f.labels, induced_edge_labels(g, f), k, d)
+
+
+def verify_pair_system(ps: PairSystem, k: int, d: int) -> VerifyReport:
+    """Certify ps as a (k,d)-hooked Skolem graceful labeling of nK2, pair i
+    on edge i: the shared body on the pair values and differences, with no
+    Graph built."""
+    return _certify(ps.values(), ps.differences(), k, d)
 
 
 def verify_sequence(s: SequenceForm) -> VerifyReport:

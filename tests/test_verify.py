@@ -9,10 +9,13 @@ import hskolem
 from hskolem import core, verify
 from hskolem import (
     HOOK,
+    DegenerateOrder,
     DomainError,
+    Graph,
     PairSystem,
     SequenceForm,
     SequenceKind,
+    ShapeMismatch,
     VertexLabeling,
     check_sum_identity,
     construct_nk2_21,
@@ -52,6 +55,29 @@ class TestVerifyLabeling:
 
     def test_report_text(self):
         assert verify_pair_system(FIG1_6K2, 2, 1).to_text() == "VALID"
+
+    def test_star_with_repeated_labels(self):
+        # K_{1,3}, centre 1: every violation text, vertex repeats first.
+        star = Graph(4, ((1, 2), (1, 3), (1, 4)))
+        report = verify_labeling(star, VertexLabeling((5, 1, 1, 7)), 1, 1)
+        assert report.to_text() == "\n".join([
+            "VIOLATION vertex_label_set: label 1 used 2 times",
+            "VIOLATION vertex_label_set: label 7 not in {1..3, 5}",
+            "VIOLATION vertex_label_set: label 2 missing",
+            "VIOLATION vertex_label_set: label 3 missing",
+            "VIOLATION edge_label_repeat: edge label 4 induced 2 times",
+            "VIOLATION edge_label_set: edge label 4 outside target progression",
+            "VIOLATION edge_label_set: edge label 1 never induced",
+            "VIOLATION edge_label_set: edge label 3 never induced",
+        ])
+
+    def test_wrong_length_on_one_vertex_is_a_shape_mismatch(self):
+        # p = 1 has no hooked label set, but the shape is checked first.
+        g = Graph(1, ())
+        with pytest.raises(ShapeMismatch):
+            verify_labeling(g, VertexLabeling((1, 2)), 2, 1)
+        with pytest.raises(DegenerateOrder):
+            verify_labeling(g, VertexLabeling((1,)), 2, 1)
 
 
 class TestVerifySkolem:
@@ -159,6 +185,14 @@ class TestPartitionCensus:
         report = verify_pair_system(FIG1_6K2, 2, 1)
         assert report.census.cross_edges == 3
 
+    def test_path_labeling_report(self):
+        # path 1-2-3-4 labeled 5, 2, 3, 1: edge labels 3, 1, 2, two of them odd
+        g, f = Graph(4, ((1, 2), (2, 3), (3, 4))), VertexLabeling((5, 2, 3, 1))
+        report = verify_labeling(g, f, 1, 1)
+        assert report.valid and report.census == partition_census(g, f)
+        c = report.census
+        assert (c.odd_count, c.even_count, c.cross_edges) == (3, 1, 2)
+
 
 class TestSumIdentity:
     def test_n2(self):
@@ -247,8 +281,12 @@ def _sweep_cases():
 
 
 class TestDirectPairSystemCertifier:
+    # Both certifiers call one body, so comparing them checks only that a
+    # pair system's values and differences are derived as the graph path's
+    # labels and induced edge labels are.  The independent guard is the
     # SHA-256 over every report text of the sweep, each followed by a blank
-    # line; both certifiers give this digest.
+    # line, with the case counts: both were pinned while the two certifiers
+    # were separate code.
     SWEEP_SHA256 = "f58324a4058dc248b94bdc45235ea67a6d5de079ce6cd22aa982876485fac00b"
 
     def test_matches_the_graph_certifier(self):
