@@ -3,7 +3,6 @@ constructors, verifiers, necessary conditions, and an exhaustive
 backtracking search oracle."""
 
 from .conditions import (
-    BothEven,
     expected_cross_edges,
     hooked_sequence_necessary,
     nk2_parity_feasible,

@@ -9,29 +9,23 @@ from __future__ import annotations
 from .core import DomainError
 
 
-class BothEven(DomainError):
-    """The cross-edge count is only determined when k, d are not both even."""
-
-
 def size_necessary(p: int, q: int) -> bool:
-    """A (k,d)-hooked Skolem graceful graph has at most p-1 edges."""
+    """A (k,d)-hooked Skolem graceful graph has q <= p: its q edge labels
+    are distinct differences of {1..p-1, p+1}, whose largest is p."""
     if p < 2 or q < 0:
         raise DomainError(f"need p >= 2, q >= 0, got p={p}, q={q}")
-    return q <= p - 1
+    return q <= p
 
 
 def expected_cross_edges(k: int, d: int, q: int) -> int:
-    """Number of odd-labeled/even-labeled cross edges forced on any valid
-    labeling: the count of odd terms in the edge target progression."""
-    if k % 2 == 0 and d % 2 == 0:
-        raise BothEven(f"k={k}, d={d} are both even")
-    if q < 0:
-        raise DomainError("q must be non-negative")
-    if k % 2 == 1 and d % 2 == 1:
-        return (q + 1) // 2
-    if k % 2 == 0:  # d odd
-        return q // 2
-    return q  # k odd, d even: every term is odd
+    """Number of edges joining an odd and an even vertex label on any valid
+    labeling: the odd terms of k, k+d, ..., k+(q-1)d.  With d even every
+    term has k's parity; with d odd the terms alternate, starting at k."""
+    if k < 1 or d < 1 or q < 0:
+        raise DomainError(f"need k, d >= 1, q >= 0, got k={k}, d={d}, q={q}")
+    if d % 2 == 0:
+        return q if k % 2 else 0
+    return (q + k % 2) // 2
 
 
 def nk2_parity_feasible(n: int, k: int, d: int) -> bool:

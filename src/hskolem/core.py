@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-# Input bound for constructors and searches; keeps every label far below 2**63.
+# Input bound for the constructor and the survey's --n-max; keeps every label
+# far below 2**63.  Searches check their own bounds and the recursion limit.
 MAX_ORDER = 10**6
 
 

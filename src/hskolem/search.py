@@ -47,6 +47,7 @@ each root task stops on its own.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 
 from .conditions import nk2_parity_feasible, size_necessary
@@ -121,6 +122,15 @@ def _stop_for(mode: str, limit: int | None, jobs: int) -> tuple[int | None, bool
     if mode == "enumerate":
         return limit, True
     return None, False  # count: exhaust
+
+
+def _check_order(name: str, order: int, bound: int, force: bool) -> None:
+    """Refuse an order above the search bound unless forced, and any order
+    the engines cannot reach: they recurse once per pair or per vertex."""
+    if order > bound and not force:
+        raise BoundExceeded(f"{name}={order} exceeds bound {bound}")
+    if order >= sys.getrecursionlimit():
+        raise DomainError("instance too large for the search's recursion depth")
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -227,8 +237,7 @@ def search_nk2(
     """Exhaustive search for (k,d)-hooked Skolem graceful labelings of nK2."""
     if n < 1 or k < 1 or d < 1:
         raise DomainError("n, k, d must be positive")
-    if n > DEFAULT_NK2_BOUND and not force:
-        raise BoundExceeded(f"n={n} exceeds bound {DEFAULT_NK2_BOUND}")
+    _check_order("n", n, DEFAULT_NK2_BOUND, force)
     free = ((1 << 2 * n) - 2) | (1 << (2 * n + 1))  # {1..2n-1, 2n+1}
     diffs = sum(1 << diff for diff in edge_target_set(k, d, n))
     return _search(_pair_solve, (free, diffs), _pair_roots(free, diffs), mode,
@@ -244,8 +253,7 @@ def search_sequence(
     length, hook, least = sequence_shape(kind, m, d)
     if m < 1:
         raise DomainError("order must be positive")
-    if m > DEFAULT_SEQUENCE_BOUND and not force:
-        raise BoundExceeded(f"m={m} exceeds bound {DEFAULT_SEQUENCE_BOUND}")
+    _check_order("m", m, DEFAULT_SEQUENCE_BOUND, force)
 
     def wrap(flat):  # the search guarantees the position set: no check here
         return SequenceForm(kind, _placed(zip(flat[::2], flat[1::2]), length), d=least)
@@ -379,8 +387,7 @@ def search_graph(
     """Exhaustive search for (k,d)-hooked Skolem graceful labelings of g."""
     if k < 1 or d < 1:
         raise DomainError("k, d must be positive")
-    if g.p > DEFAULT_GRAPH_BOUND and not force:
-        raise BoundExceeded(f"p={g.p} exceeds bound {DEFAULT_GRAPH_BOUND}")
+    _check_order("p", g.p, DEFAULT_GRAPH_BOUND, force)
     if not size_necessary(g.p, g.q):
         return _search(lambda args: (0, [], 0), (), (), mode, limit, jobs, VertexLabeling)
     # memo_at[x]: no edge spans vertex x (0-based), so the count and exists
@@ -410,11 +417,10 @@ def survey_nk2(
     ns, k: int, d: int, search_up_to: int = 0, *, force: bool = False,
 ) -> list[SurveyRow]:
     """One row per n: the parity predicate and, within search_up_to, the
-    verdict of a serial exhaustive search; a search_up_to above the bound
-    raises before any search.  A positive search with a negative predicate
-    is an implementation bug and raises ContradictionDetected."""
-    if search_up_to > DEFAULT_NK2_BOUND and not force:
-        raise BoundExceeded(f"search_up_to={search_up_to} exceeds bound {DEFAULT_NK2_BOUND}")
+    verdict of a serial exhaustive search; a search_up_to above the bound or
+    the recursion depth raises before any search.  A positive search with a
+    negative predicate is an implementation bug: ContradictionDetected."""
+    _check_order("search_up_to", search_up_to, DEFAULT_NK2_BOUND, force)
     rows = []
     for n in ns:
         feasible = nk2_parity_feasible(n, k, d)

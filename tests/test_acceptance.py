@@ -105,8 +105,6 @@ def test_criterion_5_census(constructed_up_to_1000, nk2_21_enumerations,
         for ps in sols:
             check(ps, 2, 1)
     for (n, k, d), sols in nk2_grid_enumerations.items():
-        if k % 2 == 0 and d % 2 == 0:
-            continue  # cross-edge count is only determined otherwise
         for ps in sols:
             check(ps, k, d)
     for ps in constructed_up_to_1000.values():

@@ -219,6 +219,16 @@ class TestSearch:
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1
 
+    def test_graph_near_the_recursion_limit_is_usage_error(self, tmp_path):
+        # Below the limit the search starts, and the CLI maps the
+        # RecursionError it meets to the same exit.
+        path = tmp_path / "deep.edges"
+        path.write_text(f"p {sys.getrecursionlimit() - 1}\n")
+        code, out, err = run_cli("search", "graph", "--edges", str(path),
+                                 "--k", "1", "--d", "1", "--mode", "first", "--force")
+        assert (code, out) == (64, "")
+        assert err == "error: instance too large for the search's recursion depth\n"
+
 
 class TestSurvey:
     def test_21_survey(self):
@@ -485,11 +495,22 @@ sys.exit(code)
 """
 
 
-def run_fresh(*args, cwd=None):
+# The address-space cap makes a search that builds its masks fail fast:
+# without the depth check, this command took about 100 s and 2.3 GB on a
+# 2-core host before the engine's RecursionError.
+_HUGE_ORDER = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hskolem import cli
+sys.exit(cli.main(["search", "nk2", "--n", "2000000", "--k", "2", "--d", "1", "--force"]))
+"""
+
+
+def run_fresh(*args, cwd=None, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=60)
+                          env=env, cwd=cwd, timeout=timeout)
 
 
 class TestColdProcess:
@@ -517,6 +538,13 @@ class TestColdProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("\n") == 200001
         assert int(proc.stderr) < 30 * 1024  # KB
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="caps the child's address space with setrlimit")
+    def test_huge_forced_order_fails_before_building_masks(self):
+        proc = run_fresh("-c", _HUGE_ORDER, timeout=20)
+        assert (proc.returncode, proc.stdout) == (64, "")
+        assert proc.stderr == "error: instance too large for the search's recursion depth\n"
 
     def test_json_construct_then_verify(self, tmp_path):
         made = run_fresh("-m", "hskolem.cli", "construct", "nk2", "--n", "9",

@@ -1,7 +1,6 @@
 import pytest
 
 from hskolem import (
-    BothEven,
     DomainError,
     edge_target_set,
     expected_cross_edges,
@@ -18,7 +17,11 @@ class TestSizeNecessary:
         assert size_necessary(4, 2)
 
     def test_triangle(self):
-        assert not size_necessary(3, 3)
+        # K3 has the (1,1) labeling (1, 2, 4): q = p is allowed.
+        assert size_necessary(3, 3)
+
+    def test_k4(self):
+        assert not size_necessary(4, 6)
 
     def test_k2(self):
         assert size_necessary(2, 1)
@@ -34,16 +37,18 @@ class TestExpectedCrossEdges:
     def test_k_odd_d_even(self):
         assert expected_cross_edges(1, 2, 7) == 7
 
-    def test_both_even_rejected(self):
-        with pytest.raises(BothEven):
-            expected_cross_edges(2, 4, 3)
+    def test_both_even_is_zero(self):
+        assert expected_cross_edges(2, 4, 3) == 0
+
+    @pytest.mark.parametrize("k, d, q", [(0, 1, 3), (-3, 2, 4), (1, 0, 2), (1, 1, -1)])
+    def test_rejects_k_or_d_below_one_and_negative_q(self, k, d, q):
+        with pytest.raises(DomainError, match="need k, d >= 1, q >= 0"):
+            expected_cross_edges(k, d, q)
 
     def test_matches_literal_odd_count(self):
-        for k in range(1, 11):
-            for d in range(1, 11):
-                if k % 2 == 0 and d % 2 == 0:
-                    continue
-                for q in range(0, 101):
+        for k in range(1, 13):
+            for d in range(1, 13):
+                for q in range(0, 120):
                     literal = sum(1 for t in edge_target_set(k, d, q) if t % 2)
                     assert expected_cross_edges(k, d, q) == literal
 

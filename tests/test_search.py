@@ -1,7 +1,9 @@
 import inspect
 import random
+import sys
 import tracemalloc
 from functools import partial
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -26,6 +28,7 @@ from hskolem import (
     search_skolem,
     sequence_to_pairs,
     survey_nk2,
+    verify_labeling,
     verify_pair_system,
     verify_sequence,
 )
@@ -292,10 +295,18 @@ class TestGraph:
         g = Graph(3, ((1, 2), (2, 3)))
         assert search_graph(g, 2, 1, "exists").exists
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_triangle_fails_size_condition(self, monkeypatch, jobs):
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    def test_triangle_has_a_labeling(self):
+        # q = p: the three differences of (1, 2, 4) are 1, 2, 3.
         g = Graph(3, ((1, 2), (2, 3), (1, 3)))
+        out = search_graph(g, 1, 1, "first")
+        assert out.solutions[0].labels == (1, 2, 4)
+        assert verify_labeling(g, out.solutions[0], 1, 1).valid
+        assert search_graph(g, 1, 1, "count").count == 6
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_k4_fails_size_condition(self, monkeypatch, jobs):
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        g = Graph(4, tuple(combinations(range(1, 5), 2)))  # q = 6 > p = 4
         out = search_graph(g, 1, 1, "exists", jobs=jobs)
         assert not out.exists
         assert out.stats.nodes_expanded == 0
@@ -321,11 +332,14 @@ class TestGraph:
             assert c.cross_edges == expected_cross_edges(2, 1, g.q)
 
 
-# Small graphs for the brute-force check.  Several have isolated vertices,
-# and the triangle, the 4-cycle and the star give a vertex two or three
-# earlier neighbours, where a midpoint label would repeat a difference.
+# Small graphs for the brute-force check.  The triangle, the 4-cycle and the
+# star give a vertex two or three earlier neighbours, where a midpoint label
+# would repeat a difference.
 SMALL_GRAPHS = {
     "edgeless3": Graph(3, ()),
+    "K3": Graph(3, ((1, 2), (1, 3), (2, 3))),
+    "C4": Graph(4, ((1, 2), (2, 3), (3, 4), (1, 4))),
+    "paw": Graph(4, ((1, 2), (1, 3), (2, 3), (3, 4))),
     "K2+K1": Graph(3, ((1, 2),)),
     "2K2+K1": Graph(5, ((1, 2), (3, 4))),
     "path4+2K1": Graph(6, ((1, 2), (2, 3), (3, 4))),
@@ -350,6 +364,21 @@ class TestGraphAgainstBruteForce:
                 assert found == graph_labelings_brute(g.p, g.edges, k, d)
                 total += len(found)
         assert total > 0
+
+    def test_every_edge_set_up_to_p4(self):
+        cases = 0
+        for p in range(2, 5):
+            pairs = list(combinations(range(1, p + 1), 2))
+            for mask in range(1 << len(pairs)):
+                edges = tuple(e for i, e in enumerate(pairs) if mask >> i & 1)
+                g = Graph(p, edges)
+                for k in range(1, 4):
+                    for d in range(1, 4):
+                        found = [f.labels for f in
+                                 search_graph(g, k, d, "enumerate").solutions]
+                        assert found == graph_labelings_brute(p, edges, k, d), (p, edges, k, d)
+                        cases += 1
+        assert cases == 666
 
 
 class TestStopIsAPrefix:
@@ -594,6 +623,18 @@ class TestArguments:
             search_skolem(4, **kwargs)
         with pytest.raises(DomainError):
             search_graph(Graph(4, ((1, 2), (3, 4))), 2, 1, **kwargs)
+
+    # The engines recurse once per pair or vertex, so an order at the
+    # recursion limit is refused before any mask is built.
+    @pytest.mark.parametrize("call", [
+        lambda n: search_nk2(n, 2, 1, force=True),
+        lambda n: search_sequence(SequenceKind.SKOLEM, n, force=True),
+        lambda n: search_graph(Graph(n, ()), 1, 1, force=True),
+        lambda n: survey_nk2([1], 2, 1, search_up_to=n, force=True),
+    ], ids=["nk2", "sequence", "graph", "survey"])
+    def test_rejects_orders_beyond_the_recursion_depth(self, call):
+        with pytest.raises(DomainError, match="recursion depth"):
+            call(sys.getrecursionlimit())
 
     def test_worker_count_is_capped(self, monkeypatch):
         monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
