@@ -9,7 +9,6 @@ every text format; certification and its VerifyReport live in verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 # Input bound for the constructor and the survey's --n-max; keeps every label
@@ -46,6 +45,7 @@ class _Hook:
 
     def __repr__(self) -> str:
         return "HOOK"
+    __reduce__ = __repr__  # pickled by name, so a copy is HOOK itself
 
 
 #: Sentinel for the unused slot of a hooked sequence.
@@ -62,53 +62,76 @@ class SequenceKind(Enum):
 # metaclass and costs several times a global lookup.
 _SKOLEM = SequenceKind.SKOLEM
 _HOOKED_SKOLEM = SequenceKind.HOOKED_SKOLEM
+# How a frozen record's __init__ sets a field: writing through __dict__
+# would add a dict to each instance and slow every later read of its fields.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Equality, hash and repr Name(field=value, ...) over the fields, which
+    are the __init__ parameters in order.  Assignment and deletion raise; the
+    mutable types restore object's and are unhashable."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values()))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{self.__class__.__name__} is frozen: cannot set {name!r}")
+    __delattr__ = __setattr__
+
+
+class Graph(_Record):
     """Finite undirected graph without loops; vertices are 1..p."""
 
-    p: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise DomainError(f"vertex count must be positive, got {self.p}")
+    def __init__(self, p: int, edges: tuple[tuple[int, int], ...]):
+        if p < 1:
+            raise DomainError(f"vertex count must be positive, got {p}")
         normalized = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise DomainError(f"loop at vertex {u}")
-            if not (1 <= u <= self.p and 1 <= v <= self.p):
-                raise DomainError(f"edge ({u},{v}) outside 1..{self.p}")
+            if not (1 <= u <= p and 1 <= v <= p):
+                raise DomainError(f"edge ({u},{v}) outside 1..{p}")
             normalized.append((min(u, v), max(u, v)))
         if len(set(normalized)) != len(normalized):
             raise DomainError("duplicate edge")
-        object.__setattr__(self, "edges", tuple(normalized))
+        _set(self, "p", p)
+        _set(self, "edges", tuple(normalized))
 
     @property
     def q(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class VertexLabeling:
+class VertexLabeling(_Record):
     """labels[v-1] is the label of vertex v."""
 
-    labels: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, labels):
+        _set(self, "labels", tuple(labels))
 
 
-@dataclass(frozen=True)
-class PairSystem:
+class PairSystem(_Record):
     """n >= 1 disjoint label pairs (a_i, b_i), each with a < b; the readers
     of every format build it as given and leave these rules to it."""
 
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
+    def __init__(self, pairs):
+        _set(self, "pairs", tuple(tuple(p) for p in pairs))
         if not self.pairs:
             raise DomainError("a pair system needs at least one pair")
         for a, b in self.pairs:
@@ -129,20 +152,17 @@ class PairSystem:
         return [b - a for a, b in self.pairs]
 
 
-@dataclass(frozen=True)
-class SequenceForm:
+class SequenceForm(_Record):
     """Position-indexed Skolem-type sequence; entries hold ints or HOOK.
 
     Purely structural container: multiplicity and distance conditions are
     the verify module's job, so malformed content is representable.
     """
 
-    kind: SequenceKind
-    entries: tuple
-    d: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, kind: SequenceKind, entries, d: int = 1):
+        _set(self, "kind", kind)
+        _set(self, "entries", tuple(entries))
+        _set(self, "d", d)
         if not self.entries:
             raise DomainError("empty sequence")
 

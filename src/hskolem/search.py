@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 
 from .conditions import nk2_parity_feasible, size_necessary
 from .core import (
@@ -59,6 +58,8 @@ from .core import (
     SequenceKind,
     VertexLabeling,
     _placed,
+    _Record,
+    _set,
     edge_target_set,
     sequence_shape,
     target_label_set,
@@ -88,22 +89,23 @@ class ContradictionDetected(RuntimeError):
     exist; signals an implementation bug."""
 
 
-@dataclass
-class SearchStats:
+class SearchStats(_Record):
     """nodes_expanded is the size of the plain search tree.  Where the
     graph engine's memo (count and exists, at vertices no edge spans) skips
     a subtree, it adds the subtree's cached node count, so the figure does
     not depend on the memo, only the work done does."""
 
-    nodes_expanded: int = 0
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, nodes_expanded: int = 0):
+        self.nodes_expanded = nodes_expanded
 
 
-@dataclass
-class SearchOutcome:
-    exists: bool
-    count: int | None
-    solutions: list
-    stats: SearchStats
+class SearchOutcome(_Record):
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, exists: bool, count: int | None, solutions: list, stats: SearchStats):
+        self.exists, self.count, self.solutions, self.stats = exists, count, solutions, stats
 
 
 def _stop_for(mode: str, limit: int | None, jobs: int) -> tuple[int | None, bool]:
@@ -406,20 +408,22 @@ def search_graph(
 # survey
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurveyRow:
-    n: int
-    parity_feasible: bool
-    exists: bool | None  # None when the search column was skipped
+class SurveyRow(_Record):
+    def __init__(self, n: int, parity_feasible: bool, exists: bool | None):
+        _set(self, "n", n)
+        _set(self, "parity_feasible", parity_feasible)
+        _set(self, "exists", exists)
 
 
 def survey_nk2(
     ns, k: int, d: int, search_up_to: int = 0, *, force: bool = False,
 ) -> list[SurveyRow]:
     """One row per n: the parity predicate and, within search_up_to, the
-    verdict of a serial exhaustive search; a search_up_to above the bound or
-    the recursion depth raises before any search.  A positive search with a
-    negative predicate is an implementation bug: ContradictionDetected."""
+    verdict of a serial exhaustive search (else None).  A negative
+    search_up_to, or one past the bound or the recursion depth, raises before
+    any search; a search that contradicts the predicate raises ContradictionDetected."""
+    if search_up_to < 0:
+        raise DomainError(f"search_up_to must be non-negative, got {search_up_to}")
     _check_order("search_up_to", search_up_to, DEFAULT_NK2_BOUND, force)
     rows = []
     for n in ns:

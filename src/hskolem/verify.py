@@ -12,13 +12,14 @@ serves every sequence kind by its tag.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import (
     Graph,
     PairSystem,
     SequenceForm,
     VertexLabeling,
+    _Record,
+    _set,
     edge_target_set,
     induced_edge_labels,
     pair_system_labeling,  # not called here: perfbench/tracing.py patches it in this module
@@ -38,21 +39,21 @@ SUM_IDENTITY = "sum_identity"
 MAX_VIOLATIONS = 32
 
 
-@dataclass(frozen=True)
-class PartitionCensus:
+class PartitionCensus(_Record):
     """Sizes of the odd/even label classes and the edges between them."""
 
-    odd_count: int
-    even_count: int
-    cross_edges: int
+    def __init__(self, odd_count: int, even_count: int, cross_edges: int):
+        _set(self, "odd_count", odd_count)
+        _set(self, "even_count", even_count)
+        _set(self, "cross_edges", cross_edges)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Pass/fail certification with every violated condition enumerated."""
 
-    violations: tuple[tuple[str, str], ...]
-    census: PartitionCensus | None = None
+    def __init__(self, violations: tuple[tuple[str, str], ...], census=None):
+        _set(self, "violations", violations)
+        _set(self, "census", census)
 
     @property
     def valid(self) -> bool:

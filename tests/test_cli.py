@@ -286,6 +286,14 @@ class TestSurvey:
         assert out == ""
         assert err.startswith("error: search_up_to=11 exceeds bound 10")
 
+    @pytest.mark.parametrize("search_up_to", ["-1", "-3"])
+    def test_negative_search_up_to_is_usage_error_before_any_row(self, search_up_to):
+        code, out, err = run_cli("survey", "nk2", "--n-max", "5", "--k", "2",
+                                 "--d", "1", "--search-up-to", search_up_to)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: search_up_to must be non-negative")
+
     def test_search_up_to_above_n_max_searches_every_row(self):
         code, out, _ = run_cli("survey", "nk2", "--n-max", "5", "--k", "2",
                                "--d", "1", "--search-up-to", "11")
