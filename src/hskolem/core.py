@@ -68,13 +68,15 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Equality, hash and repr Name(field=value, ...) over the fields, which
-    are the __init__ parameters in order.  Assignment and deletion raise; the
-    mutable types restore object's and are unhashable."""
+    """Equality, hash and repr Name(field=value, ...) over the fields: the
+    __init__ parameters in order.  Assignment and deletion raise unless the
+    subclass says frozen=False, which also makes it unhashable."""
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, frozen: bool = True):
         code = cls.__init__.__code__
         cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = _set, object.__delattr__, None
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

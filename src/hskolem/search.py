@@ -89,21 +89,17 @@ class ContradictionDetected(RuntimeError):
     exist; signals an implementation bug."""
 
 
-class SearchStats(_Record):
+class SearchStats(_Record, frozen=False):
     """nodes_expanded is the size of the plain search tree.  Where the
     graph engine's memo (count and exists, at vertices no edge spans) skips
     a subtree, it adds the subtree's cached node count, so the figure does
     not depend on the memo, only the work done does."""
 
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
     def __init__(self, nodes_expanded: int = 0):
         self.nodes_expanded = nodes_expanded
 
 
-class SearchOutcome(_Record):
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
+class SearchOutcome(_Record, frozen=False):
     def __init__(self, exists: bool, count: int | None, solutions: list, stats: SearchStats):
         self.exists, self.count, self.solutions, self.stats = exists, count, solutions, stats
 
