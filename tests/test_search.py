@@ -611,7 +611,6 @@ class TestSurvey:
         assert type(rows) is list
         assert [r.n for r in rows if r.exists] == [1, 2, 5, 6]
 
-    # A negative search_up_to once filled the search column with None.
     @pytest.mark.parametrize("force", [False, True])
     @pytest.mark.parametrize("search_up_to", [-1, -3])
     def test_rejects_negative_search_up_to_before_any_row(self, search_up_to, force):
