@@ -62,6 +62,7 @@ class SequenceKind(Enum):
 # metaclass and costs several times a global lookup.
 _SKOLEM = SequenceKind.SKOLEM
 _HOOKED_SKOLEM = SequenceKind.HOOKED_SKOLEM
+_HOOKED = SequenceKind.HOOKED
 # How a frozen record's __init__ sets a field: writing through __dict__
 # would add a dict to each instance and slow every later read of its fields.
 _set = object.__setattr__
@@ -224,6 +225,8 @@ def sequence_shape(kind: SequenceKind, m: int, d: int = 1) -> tuple[int, int | N
         return 2 * m, None, 1
     if kind is _HOOKED_SKOLEM:
         return 2 * m + 1, 2 * m, 1
+    if kind is not _HOOKED:
+        raise DomainError(f"kind must be a SequenceKind, got {_quote(kind)}")
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
     return 2 * m + 1, 2 * m, d

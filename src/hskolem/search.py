@@ -26,13 +26,15 @@ would repeat a difference.  Candidates are tried in ascending order, so
 label vectors come out in lexicographic order.  In count and exists mode,
 at each vertex that no edge spans (no earlier vertex has a neighbour at or
 after it), the subtree depends on the free labels and unused differences
-alone, so the engine memoizes its node and solution counts.  A hit credits
-the cached node count: nodes_expanded stays the size of the plain tree,
-for every jobs value, while the work done is smaller.
+alone, so the engine memoizes its node and solution counts.
 
-Both engines stop alike: the leaf that brings the solution count to the
-mode's stop (1 for exists and first, the limit for enumerate, none for
-count) raises a private _Stop, which the engine's solve function catches.
+Both engines count and stop alike.  nodes_expanded counts each state a
+walker enters, pruned states and leaves included; a memo hit counts its
+cached subtree, so the figure is the size of the plain tree however much
+work the memo saves, and the parallel merge adds the root, which no root
+task enters.  The leaf that brings the solution count to the mode's stop
+(1 for exists and first, the limit for enumerate, none for count) raises a
+private _Stop, which the engine's solve function catches.
 
 One driver, _search, runs both engines.  With jobs > 1 it splits the
 choices at the root across worker processes and merges the per-root results
@@ -90,10 +92,8 @@ class ContradictionDetected(RuntimeError):
 
 
 class SearchStats(_Record, frozen=False):
-    """nodes_expanded is the size of the plain search tree.  Where the
-    graph engine's memo (count and exists, at vertices no edge spans) skips
-    a subtree, it adds the subtree's cached node count, so the figure does
-    not depend on the memo, only the work done does."""
+    """nodes_expanded is the size of the plain search tree, by the node
+    rule in the module docstring."""
 
     def __init__(self, nodes_expanded: int = 0):
         self.nodes_expanded = nodes_expanded
@@ -137,9 +137,8 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
     """solve((*args, stop, keep, root)) returns (solutions found, solutions
-    kept, nodes); it keeps [] when keep is off.  The merge adds one node for
-    the root, which no root task expands.  roots may be lazy: the serial
-    call, with root None, never reads it."""
+    kept, nodes); it keeps [] when keep is off.  roots may be lazy: the
+    serial call, with root None, never reads it."""
     stop, keep = _stop_for(mode, limit, jobs)
     tasks = [(*args, stop, keep, root) for root in roots] if jobs > 1 else ()
     if tasks:
@@ -149,7 +148,7 @@ def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
         with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
             counts, parts, task_nodes = zip(*pool.map(solve, tasks))
         count = sum(counts)
-        nodes = 1 + sum(task_nodes)
+        nodes = 1 + sum(task_nodes)  # the root, which no task enters
         sols = [sol for part in parts for sol in part][:stop]
     else:
         count, sols, nodes = solve((*args, stop, keep, None))
@@ -164,10 +163,10 @@ def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 def _pair_walk(free, diffs, path, counter, stop) -> None:
-    # counter is [nodes, solutions]; nodes gains the children of each
-    # expanded node, so the caller counts the state itself.  path is None or
-    # a chain of (parent, a, bit) links ending in (out,); a leaf appends its
-    # flat (a1, b1, a2, b2, ...) to out: a third of nested pairs' memory.
+    # counter is [nodes, solutions].  path is None or a chain of
+    # (parent, a, bit) links ending in (out,); a leaf appends its flat
+    # (a1, b1, a2, b2, ...) to out: a third of nested pairs' memory.
+    counter[0] += 1
     if not free:
         counter[1] += 1
         if path:
@@ -186,16 +185,11 @@ def _pair_walk(free, diffs, path, counter, stop) -> None:
         return
     rest = free ^ low
     cand = (rest >> a) & diffs
-    counter[0] += cand.bit_count()
-    try:
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            _pair_walk(rest ^ (bit << a), diffs ^ bit, path and (path, a, bit),
-                       counter, stop)
-    except _Stop:
-        counter[0] -= cand.bit_count()  # the children left unvisited
-        raise
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        _pair_walk(rest ^ (bit << a), diffs ^ bit, path and (path, a, bit),
+                   counter, stop)
 
 
 def _pair_roots(free: int, diffs: int):
@@ -220,7 +214,7 @@ def _pair_solve(args):
         free ^= (1 << a) | (1 << (a + root))
         diffs ^= 1 << root
         path = path and (path, a, 1 << root)
-    counter = [1, 0]  # the state itself; no solutions yet
+    counter = [0, 0]  # nodes, solutions
     try:
         _pair_walk(free, diffs, path, counter, stop)
     except _Stop:

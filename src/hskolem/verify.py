@@ -173,7 +173,7 @@ def check_sum_identity(ps: PairSystem, k: int, d: int) -> VerifyReport:
              "identity check not meaningful")
         )
     sum_diff = sum(ps.differences())
-    expected_diff = n * k + n * (n - 1) * d // 2
+    expected_diff = sum(edge_target_set(k, d, n))
     if sum_diff != expected_diff:
         violations.append(
             (SUM_IDENTITY, f"sum of differences {sum_diff} != {expected_diff}")

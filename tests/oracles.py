@@ -96,6 +96,21 @@ def graph_tree_nodes(p, edges, k, d):
     return nodes(1, {}, targets)
 
 
+def pair_tree_nodes(free, diffs):
+    """Size of the plain pair-partition search tree on the position set free
+    and the difference set diffs.  A state pairs min(free) with min(free) + e
+    for each unused e whose partner is free, and has no children when the
+    largest unused difference exceeds max(free) - min(free).  Every state
+    reached this way is one node, the first one and the leaves included."""
+    if not free:
+        return 1
+    a = min(free)
+    if max(diffs) > max(free) - a:
+        return 1
+    return 1 + sum(pair_tree_nodes(free - {a, a + e}, diffs - {e})
+                   for e in diffs if a + e in free)
+
+
 def hooked_sequence_table(d, m):
     """Simpson's condition for a hooked sequence with differences
     d, ..., d+m-1, in its published form: the quadratic bound, then

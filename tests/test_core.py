@@ -198,6 +198,15 @@ class TestSequenceShape:
         with pytest.raises(DomainError):
             parse_sequence("1 1 2 * 2", kind=SequenceKind.HOOKED, d=0)
 
+    @pytest.mark.parametrize("kind", ["skolem", "hooked_skolem", "hooked"])
+    def test_kind_not_a_sequence_kind_rejected(self, kind):
+        with pytest.raises(DomainError):
+            sequence_shape(kind, 3)
+        with pytest.raises(DomainError):
+            pairs_to_sequence(PairSystem(((1, 3), (2, 5))), kind)
+        with pytest.raises(DomainError):
+            parse_sequence("1 1 2 * 2", kind=kind)
+
 
 class TestParseFormat:
     def test_compact_paper_string(self):

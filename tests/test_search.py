@@ -38,6 +38,7 @@ from oracles import (
     graph_labelings_brute,
     graph_tree_nodes,
     nk2_solutions_brute,
+    pair_tree_nodes,
     sequence_solutions_brute,
 )
 
@@ -207,6 +208,11 @@ class TestSearchSequence:
                         == key(search_hooked_skolem(m, mode)))
                 assert (key(search_sequence(SequenceKind.HOOKED, m, d, mode))
                         == key(search_hooked_sequence(d, m, mode)))
+
+    @pytest.mark.parametrize("kind", ["skolem", "hooked_skolem", "hooked"])
+    def test_kind_not_a_sequence_kind_rejected(self, kind):
+        with pytest.raises(DomainError):
+            search_sequence(kind, 4, mode="first")
 
 
 class TestPairNodesPinned:
@@ -574,6 +580,38 @@ class TestCountNodesAcrossJobs:
         for jobs in (1, 2):
             out = search_nk2(8, 1, 3, "count", jobs=jobs)
             assert (out.count, out.stats.nodes_expanded) == (0, 1)
+
+
+def pair_trees():
+    # Each pair instance with its position and difference sets, built here
+    # from the definitions rather than from the package's masks.
+    for n in range(1, 8):
+        for k in range(1, 4):
+            for d in range(1, 4):
+                yield (f"nk2 {n} {k} {d}", partial(search_nk2, n, k, d),
+                       set(range(1, 2 * n)) | {2 * n + 1}, {k + i * d for i in range(n)})
+    for m in range(1, 8):
+        hooked = set(range(1, 2 * m)) | {2 * m + 1}
+        values = set(range(1, m + 1))
+        yield f"skolem {m}", partial(search_skolem, m), set(range(1, 2 * m + 1)), values
+        yield f"hooked_skolem {m}", partial(search_hooked_skolem, m), hooked, values
+        for d in range(1, 4):
+            yield (f"hooked {m} {d}", partial(search_hooked_sequence, d, m), hooked,
+                   set(range(d, d + m)))
+
+
+class TestPairTreeOracle:
+    # count-mode nodes_expanded is the size of the plain tree, for every
+    # jobs value: the walker counts each state it enters, and the parallel
+    # merge the root.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_count_nodes_are_the_plain_tree(self, jobs):
+        checked = 0
+        for name, run, free, diffs in pair_trees():
+            assert (run("count", jobs=jobs).stats.nodes_expanded
+                    == pair_tree_nodes(free, diffs)), name
+            checked += 1
+        assert checked == 98
 
 
 class TestSurvey:

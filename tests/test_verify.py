@@ -142,6 +142,13 @@ class TestHookedDBelowOne:
             verify_sequence(s)
 
 
+class TestKindNotASequenceKind:
+    @pytest.mark.parametrize("kind", ["skolem", "hooked_skolem", "hooked"])
+    def test_rejected(self, kind):
+        with pytest.raises(DomainError):
+            verify_sequence(SequenceForm(kind, (1, 1, 2, HOOK, 2)))
+
+
 class TestHookedD1CoincidesWithHookedSkolem:
     def test_on_search_output(self):
         for m in range(1, 5):
@@ -212,6 +219,11 @@ class TestSumIdentity:
     def test_non_label_set_flagged(self):
         report = check_sum_identity(PairSystem(((1, 2), (3, 4))), 1, 1)
         assert any(cid == "vertex_label_set" for cid, _ in report.violations)
+
+    @pytest.mark.parametrize("k, d", [(2, -1), (2, 0), (0, 1), (-1, 2)])
+    def test_k_or_d_below_one_raises(self, k, d):
+        with pytest.raises(DomainError):
+            check_sum_identity(PairSystem(((1, 3),)), k, d)
 
 
 class TestLengthShapes:
