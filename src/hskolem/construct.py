@@ -2,8 +2,9 @@
 
 Covers exactly n = 1 or 2 (mod 4): five small orders come from a fixed
 table, the rest from two piecewise label families (n = 4r-2 with r >= 4,
-n = 4r-3 with r >= 3).  Every output is re-verified before return, so a
-transcription slip in the many formula branches fails loudly.
+n = 4r-3 with r >= 3), each built as a few integer spans, one per branch
+of the paper's per-index formulas.  Every output is re-verified before
+return, so a slip in a span's bounds fails loudly.
 """
 
 from __future__ import annotations
@@ -40,77 +41,36 @@ def base_cases() -> dict[int, PairSystem]:
     return {n: PairSystem(pairs) for n, pairs in _BASE_CASES.items()}
 
 
-def _even_a(i: int, n: int, r: int) -> int:
-    if i in (1, 2):
-        return i
-    if 3 <= i <= 2 * r - 2:
-        return i + 1
-    if i == 2 * r - 1:
-        return (n + 4) // 2
-    if i == 2 * r:
-        return (3 * n + 2) // 4
-    return (n - 4) // 2 + i  # 2r+1 <= i <= n
-
-
-def _even_b(i: int, n: int, r: int) -> int:
-    if i == 1:
-        return 3
-    if i == 2:
-        return (n + 2) // 2
-    if 3 <= i <= r:
-        return n + 2 - i
-    if r + 1 <= i <= 2 * r - 3:
-        return n + 1 - i
-    if i == 2 * r - 2:
-        return 3 * n // 2
-    if i == 2 * r - 1:
-        return (3 * n - 2) // 2
-    if i == 2 * r:
-        return (7 * n - 2) // 4
-    if i == 2 * r + 1:
-        return 2 * n + 1
-    if 2 * r + 2 <= i <= 3 * r:
-        return (5 * n + 4) // 2 - i
-    return (5 * n + 2) // 2 - i  # 3r+1 <= i <= n
+def _span(c: int, lo: int, hi: int, sign: int = 1) -> range:
+    """c + sign*i for i = lo..hi: one branch of a per-index label formula."""
+    return range(c + sign * lo, c + sign * (hi + 1), sign)
 
 
 def even_family_labels(r: int) -> PairSystem:
-    """Labeling of nK2 for n = 4r-2, r >= 4 (differences 2..n+1)."""
+    """Labeling of nK2 for n = 4r-2, r >= 4 (differences 2..n+1): a_i and
+    b_i listed for i = 1..n, one entry or span per formula branch."""
     if r < 4:
         raise UseBaseCase(f"even family starts at r=4, got r={r}")
     n = 4 * r - 2
-    return PairSystem(tuple((_even_a(i, n, r), _even_b(i, n, r)) for i in range(1, n + 1)))
-
-
-def _odd_a(i: int, n: int, r: int) -> int:
-    if 1 <= i <= 2 * r - 1:
-        return i
-    if 2 * r <= i <= 3 * r - 2:
-        return (n - 3) // 2 + i
-    return (n - 1) // 2 + i  # 3r-1 <= i <= n
-
-
-def _odd_b(i: int, n: int, r: int) -> int:
-    # i = r and i = n share one branch, so they take precedence.
-    if i in (r, n):
-        return n - 1 + i
-    if 1 <= i <= r - 1:
-        return n - i
-    if r + 1 <= i <= 2 * r - 2:
-        return n + 1 - i
-    if i == 2 * r - 1:
-        return (3 * n + 1) // 2
-    if i == 2 * r:
-        return 2 * n + 1
-    return (5 * n + 1) // 2 - i  # 2r+1 <= i <= n-1
+    a = [1, 2, *_span(1, 3, 2 * r - 2), (n + 4) // 2, (3 * n + 2) // 4,
+         *_span((n - 4) // 2, 2 * r + 1, n)]
+    b = [3, (n + 2) // 2, *_span(n + 2, 3, r, -1), *_span(n + 1, r + 1, 2 * r - 3, -1),
+         3 * n // 2, (3 * n - 2) // 2, (7 * n - 2) // 4, 2 * n + 1,
+         *_span((5 * n + 4) // 2, 2 * r + 2, 3 * r, -1), *_span((5 * n + 2) // 2, 3 * r + 1, n, -1)]
+    return PairSystem(zip(a, b))
 
 
 def odd_family_labels(r: int) -> PairSystem:
-    """Labeling of nK2 for n = 4r-3, r >= 3 (differences 2..n+1)."""
+    """Labeling of nK2 for n = 4r-3, r >= 3 (differences 2..n+1), listed
+    as in even_family_labels."""
     if r < 3:
         raise UseBaseCase(f"odd family starts at r=3, got r={r}")
     n = 4 * r - 3
-    return PairSystem(tuple((_odd_a(i, n, r), _odd_b(i, n, r)) for i in range(1, n + 1)))
+    a = [*_span(0, 1, 2 * r - 1), *_span((n - 3) // 2, 2 * r, 3 * r - 2),
+         *_span((n - 1) // 2, 3 * r - 1, n)]
+    b = [*_span(n, 1, r - 1, -1), n - 1 + r, *_span(n + 1, r + 1, 2 * r - 2, -1),
+         (3 * n + 1) // 2, 2 * n + 1, *_span((5 * n + 1) // 2, 2 * r + 1, n - 1, -1), 2 * n - 1]
+    return PairSystem(zip(a, b))
 
 
 def construct_nk2_21(n: int) -> PairSystem:

@@ -10,6 +10,7 @@ every text format; certification and its VerifyReport live in verify.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain, repeat
 
 # Input bound for the constructor and the survey's --n-max; keeps every label
 # far below 2**63.  Searches check their own bounds and the recursion limit.
@@ -134,7 +135,7 @@ class PairSystem(_Record):
     of every format build it as given and leave these rules to it."""
 
     def __init__(self, pairs):
-        _set(self, "pairs", tuple(tuple(p) for p in pairs))
+        _set(self, "pairs", tuple(map(tuple, pairs)))
         if not self.pairs:
             raise DomainError("a pair system needs at least one pair")
         for a, b in self.pairs:
@@ -149,7 +150,7 @@ class PairSystem(_Record):
         return len(self.pairs)
 
     def values(self) -> list[int]:
-        return [x for pair in self.pairs for x in pair]
+        return list(chain.from_iterable(self.pairs))
 
     def differences(self) -> list[int]:
         return [b - a for a, b in self.pairs]
@@ -185,7 +186,7 @@ def target_label_set(p: int) -> set[int]:
     """Hooked vertex-label set {1, ..., p-1, p+1}."""
     if p < 2:
         raise DegenerateOrder(f"hooked label set needs p >= 2, got {p}")
-    return set(range(1, p)) | {p + 1}
+    return {*range(1, p), p + 1}
 
 
 def edge_target_set(k: int, d: int, q: int) -> list[int]:
@@ -194,7 +195,7 @@ def edge_target_set(k: int, d: int, q: int) -> list[int]:
         raise DomainError("k and d must be positive")
     if q < 0:
         raise DomainError("q must be non-negative")
-    return [k + i * d for i in range(q)]
+    return list(range(k, k + q * d, d))
 
 
 def induced_edge_labels(g: Graph, f: VertexLabeling) -> list[int]:
@@ -244,8 +245,12 @@ def _placed(pairs, length: int) -> list:
 def pairs_to_sequence(ps: PairSystem, kind: SequenceKind, d: int = 1) -> SequenceForm:
     """Place value b-a at positions a and b; hooked kinds hook position 2m."""
     length, hook, least = sequence_shape(kind, ps.n, d)
-    required, values = set(range(1, length + 1)) - {hook}, set(ps.values())
-    if values != required:
+    # The 2n values are distinct, and 1..length less the hook has 2n
+    # positions: the two sets are equal when the values lie in 1..length
+    # and miss the hook.
+    values = ps.values()
+    if min(values) < 1 or max(values) > length or hook in values:
+        required, values = set(range(1, length + 1)) - {hook}, set(values)
         missing, extra = sorted(required - values), sorted(values - required)
         raise PositionSetMismatch(
             f"pair values are not the sequence positions: {len(missing)} missing "
@@ -319,8 +324,19 @@ def format_pairs(ps: PairSystem) -> str:
 
 def parse_pairs(text: str) -> PairSystem:
     """Inline pair text "a-b a-b ...", each pair smaller label first."""
-    pairs = []
-    for tok in text.split():
+    tokens, numbers = text.split(), text.replace("-", " ").split()
+    digits = "".join(numbers)
+    # One "-" per token and two numbers per token: no token has an empty side.
+    if (digits.isascii() and digits.isdigit() and len(numbers) == 2 * len(tokens)
+            and set(map(str.count, tokens, repeat("-"))) == {1}):
+        try:
+            values = list(map(int, numbers))
+        except ValueError:  # more digits than int() will read: worded below
+            pass
+        else:
+            return PairSystem(zip(values[::2], values[1::2]))
+    pairs = []  # a token at fault, or no token: read one by one for the message
+    for tok in tokens:
         parts = tok.split("-")
         if len(parts) != 2:
             raise ParseError(f"bad pair token {_quote(tok)}")
@@ -350,7 +366,7 @@ def load_edge_list(text: str) -> Graph:
 
 def pair_system_to_json(ps: PairSystem, k: int, d: int) -> str:
     import json  # here, not at the top: only JSON I/O pays for its import
-    record = {"n": ps.n, "k": k, "d": d, "pairs": [list(p) for p in ps.pairs]}
+    record = {"n": ps.n, "k": k, "d": d, "pairs": ps.pairs}
     return json.dumps(record)
 
 
@@ -366,7 +382,11 @@ def pair_system_from_json(text: str) -> tuple[PairSystem, int, int]:
     try:
         record = json.loads(text)
         n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))
-        pairs = tuple((_json_int(a), _json_int(b)) for a, b in record["pairs"])
+        pairs = record["pairs"]
+        if not (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
+                and set(map(type, chain.from_iterable(pairs))) == {int}):
+            # a pair that is not two integers, or no pair: read one by one
+            pairs = tuple((_json_int(a), _json_int(b)) for a, b in pairs)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad pair-system record: {exc}") from exc
     if k < 1 or d < 1:

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used to cross-check the search engine.
+"""Independent brute-force oracles used to cross-check the search engine,
+and the paper's per-index label formulas for the construct families.
 
 These deliberately traverse the problem differently from the package (by
 value, not by position/label), so agreement is meaningful.
@@ -6,7 +7,10 @@ value, not by position/label), so agreement is meaningful.
 
 from __future__ import annotations
 
+import json
 from itertools import permutations
+
+from hskolem.core import PairSystem, ParseError, _ascii_int, _json_int, _quote, sequence_shape
 
 
 def pairings(values):
@@ -120,3 +124,105 @@ def hooked_sequence_table(d, m):
     if d % 2 == 1:
         return m % 4 in (2, 3)
     return m % 4 in (1, 2)
+
+
+# The (2,1) families of nK2, label by label: pair i of the even family
+# (n = 4r-2) is (_even_a(i, n, r), _even_b(i, n, r)), of the odd family
+# (n = 4r-3) (_odd_a(i, n, r), _odd_b(i, n, r)), for i = 1..n.
+
+def _even_a(i: int, n: int, r: int) -> int:
+    if i in (1, 2):
+        return i
+    if 3 <= i <= 2 * r - 2:
+        return i + 1
+    if i == 2 * r - 1:
+        return (n + 4) // 2
+    if i == 2 * r:
+        return (3 * n + 2) // 4
+    return (n - 4) // 2 + i  # 2r+1 <= i <= n
+
+
+def _even_b(i: int, n: int, r: int) -> int:
+    if i == 1:
+        return 3
+    if i == 2:
+        return (n + 2) // 2
+    if 3 <= i <= r:
+        return n + 2 - i
+    if r + 1 <= i <= 2 * r - 3:
+        return n + 1 - i
+    if i == 2 * r - 2:
+        return 3 * n // 2
+    if i == 2 * r - 1:
+        return (3 * n - 2) // 2
+    if i == 2 * r:
+        return (7 * n - 2) // 4
+    if i == 2 * r + 1:
+        return 2 * n + 1
+    if 2 * r + 2 <= i <= 3 * r:
+        return (5 * n + 4) // 2 - i
+    return (5 * n + 2) // 2 - i  # 3r+1 <= i <= n
+
+
+def _odd_a(i: int, n: int, r: int) -> int:
+    if 1 <= i <= 2 * r - 1:
+        return i
+    if 2 * r <= i <= 3 * r - 2:
+        return (n - 3) // 2 + i
+    return (n - 1) // 2 + i  # 3r-1 <= i <= n
+
+
+def _odd_b(i: int, n: int, r: int) -> int:
+    # i = r and i = n share one branch, so they take precedence.
+    if i in (r, n):
+        return n - 1 + i
+    if 1 <= i <= r - 1:
+        return n - i
+    if r + 1 <= i <= 2 * r - 2:
+        return n + 1 - i
+    if i == 2 * r - 1:
+        return (3 * n + 1) // 2
+    if i == 2 * r:
+        return 2 * n + 1
+    return (5 * n + 1) // 2 - i  # 2r+1 <= i <= n-1
+
+
+# The readers one token or pair at a time, as core read every input before
+# its bulk paths: each bulk reader must give the same PairSystem, or raise
+# the same exception type with the same message.
+
+def parse_pairs_per_token(text):
+    pairs = []
+    for tok in text.split():
+        parts = tok.split("-")
+        if len(parts) != 2:
+            raise ParseError(f"bad pair token {_quote(tok)}")
+        pairs.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
+    return PairSystem(tuple(pairs))
+
+
+def pair_system_from_json_per_pair(text):
+    try:
+        record = json.loads(text)
+        n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))
+        pairs = tuple((_json_int(a), _json_int(b)) for a, b in record["pairs"])
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ParseError(f"bad pair-system record: {exc}") from exc
+    if k < 1 or d < 1:
+        raise ParseError(f"record needs positive k and d, got k={k}, d={d}")
+    ps = PairSystem(pairs)
+    if ps.n != n:
+        raise ParseError(f"record says n={n} but has {ps.n} pairs")
+    return ps, k, d
+
+
+def position_set_message(ps, kind, d=1):
+    """The PositionSetMismatch text of pairs_to_sequence, from a comparison
+    of the value set with the position set; None when the two agree."""
+    length, hook, _ = sequence_shape(kind, ps.n, d)
+    required, values = set(range(1, length + 1)) - {hook}, set(ps.values())
+    if values == required:
+        return None
+    missing, extra = sorted(required - values), sorted(values - required)
+    return (f"pair values are not the sequence positions: {len(missing)} missing "
+            f"{_quote(missing[:5])}, {len(extra)} extra {_quote(extra[:5])}")

@@ -13,6 +13,7 @@ from hskolem import (
     odd_family_labels,
     verify_pair_system,
 )
+from oracles import _even_a, _even_b, _odd_a, _odd_b
 
 R4_EXPECTED = ((1, 3), (2, 8), (4, 13), (5, 12), (6, 10), (7, 21), (9, 20),
                (11, 24), (14, 29), (15, 27), (16, 26), (17, 25), (18, 23),
@@ -146,3 +147,20 @@ class TestDamagedFamilyOutput:
         monkeypatch.setattr(construct, generator, damaged)
         with pytest.raises(ConstructionBug, match=f"n={n} failed certification:\nVIOLATION"):
             construct_nk2_21(n)
+
+
+class TestFamiliesMatchThePerIndexFormulas:
+    # The families build each label list from spans; the oracles evaluate
+    # the paper's formulas one index at a time, for every r <= 300 and one
+    # large r.
+    def test_even(self):
+        for r in [*range(4, 301), 25_000]:
+            n = 4 * r - 2
+            expected = tuple((_even_a(i, n, r), _even_b(i, n, r)) for i in range(1, n + 1))
+            assert even_family_labels(r).pairs == expected, r
+
+    def test_odd(self):
+        for r in [*range(3, 301), 25_000]:
+            n = 4 * r - 3
+            expected = tuple((_odd_a(i, n, r), _odd_b(i, n, r)) for i in range(1, n + 1))
+            assert odd_family_labels(r).pairs == expected, r

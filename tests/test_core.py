@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -28,6 +30,7 @@ from hskolem import (
     sequence_to_pairs,
     target_label_set,
 )
+from oracles import pair_system_from_json_per_pair, parse_pairs_per_token, position_set_message
 
 HOOKED_EXAMPLE = "4 8 5 7 4 3 6 5 3 8 7 * 6"
 
@@ -306,3 +309,110 @@ class TestRoundTrips:
     def test_pair_text_round_trip(self):
         ps = PairSystem(((1, 3), (2, 5)))
         assert parse_pairs(format_pairs(ps)) == ps
+
+
+def _outcome(reader, text):
+    """What a reader returns, or the type and message of what it raises."""
+    try:
+        return reader(text)
+    except Exception as exc:  # compared as (type, message)
+        return type(exc), str(exc)
+
+
+# 4301 digits: one more than int() reads from text by default.
+TOO_LONG = "1" + "0" * 4300
+SEPARATORS = (" ", "  ", "\t", "\n", " \r\n", "\x1c", "　")
+ODD_TOKENS = ("1-2-3", "-1-2", "1--2", "12", "1-", "-2", "-", "٤-5", "1-４",
+              "1_0-20", "+1-3", "1-²", "a-b", f"{TOO_LONG}-{TOO_LONG}1",
+              f"{10**4299}-{10**4299 + 1}")
+
+
+def _pair_texts(rng):
+    yield from ("", " \x1c ", "1-3", "01-003", "3-1", "1-3 1-3", *ODD_TOKENS)
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        labels = rng.sample(range(0, 2 * n + 4), 2 * n)
+        tokens = []
+        for i in range(n):
+            a, b = labels[2 * i], labels[2 * i + 1]
+            if rng.random() < 0.9:
+                a, b = min(a, b), max(a, b)
+            tokens.append(f"{a:0{rng.choice((1, 1, 3))}d}-{b}")
+        if rng.random() < 0.3:
+            tokens[rng.randrange(n)] = rng.choice(ODD_TOKENS)
+        if rng.random() < 0.1:
+            tokens.append(rng.choice(tokens))
+        seps = [rng.choice(SEPARATORS) for _ in range(len(tokens) + 1)]
+        yield "".join(sep + tok for sep, tok in zip(seps, tokens)) + rng.choice(("", seps[-1]))
+
+
+BAD_PAIRS = ("true", "[1, true]", "[false, 3]", "[1.0, 3]", "[1, 3.5]", '["1", 3]', '"13"',
+             "[1, 3, 5]", "[1]", "[]", '{"a": 1, "b": 3}', "null", "7", "[[1], [3]]",
+             f"[1, {TOO_LONG}]", "[01, 3]", "[1, -3]")
+BAD_RECORDS = ('"pairs": 5', '"pairs": "13"', '"pairs": {"1": 3}', '"pairs": null',
+               '"pairs": []', '"pairs": [[1, 3]], "n": 2', '"k": 0', '"d": true', '"n": 1.0')
+
+
+def _json_texts(rng):
+    yield from ("", "[]", "{}", "null", '{"n": 1, "k": 2, "d": 1}',
+                '{"n": 1, "k": 2, "d": 1, "pairs": [[1, 3]]}', "[" * 100_000)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        labels = rng.sample(range(1, 2 * n + 3), 2 * n)
+        pairs = [f"[{min(labels[i:i + 2])}, {max(labels[i:i + 2])}]" for i in range(0, 2 * n, 2)]
+        fields = {"n": str(n), "k": str(rng.randint(1, 3)), "d": str(rng.randint(1, 3))}
+        if rng.random() < 0.4:
+            pairs[rng.randrange(n)] = rng.choice(BAD_PAIRS)
+        fields["pairs"] = "[" + ", ".join(pairs) + "]"
+        text = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items())
+        if rng.random() < 0.2:
+            text += ", " + rng.choice(BAD_RECORDS)  # a repeated key: the last one counts
+        yield text + "}"
+
+
+class TestBulkReadersMatchThePerTokenReaders:
+    def test_parse_pairs(self):
+        seen = set()
+        for text in _pair_texts(random.Random(19)):
+            got = _outcome(parse_pairs, text)
+            assert got == _outcome(parse_pairs_per_token, text), text
+            seen.add(PairSystem if isinstance(got, PairSystem) else got[0])
+        assert seen == {PairSystem, ParseError, DomainError}
+
+    def test_pair_system_from_json(self):
+        seen = set()
+        for text in _json_texts(random.Random(19)):
+            got = _outcome(pair_system_from_json, text)
+            assert got == _outcome(pair_system_from_json_per_pair, text), text
+            seen.add(tuple if isinstance(got[0], PairSystem) else got[0])
+        assert seen == {tuple, ParseError, DomainError}
+
+    def test_position_set_check(self):
+        rng, seen = random.Random(19), set()
+        for trial in range(3000):
+            kind = rng.choice(list(SequenceKind))
+            n, d = rng.randint(1, 7), rng.randint(1, 3)
+            length, hook, _ = sequence_shape(kind, n, d)
+            positions = [i for i in range(1, length + 1) if i != hook]
+            rng.shuffle(positions)
+            damage = trial % 5
+            if damage == 1:    # a value 0
+                positions[0] = 0
+            elif damage == 2:  # a value past the length
+                positions[0] = length + rng.randint(1, 2)
+            elif damage == 3 and hook is not None:  # the hook position used
+                positions[0] = hook
+            elif damage == 4 and n > 1:  # a pair missing
+                positions = positions[:-2]
+            ps = PairSystem(tuple(sorted(positions[i:i + 2])) for i in range(0, len(positions), 2))
+            want = position_set_message(ps, kind, d)
+            if want is None:
+                hooks = pairs_to_sequence(ps, kind, d).entries.count(HOOK)
+                assert hooks == (kind is not SequenceKind.SKOLEM)
+            else:
+                with pytest.raises(PositionSetMismatch) as info:
+                    pairs_to_sequence(ps, kind, d)
+                assert str(info.value) == want
+            seen.add((damage, want is None))
+        assert seen == {(0, True), (1, False), (2, False), (3, False), (3, True),
+                        (4, False), (4, True)}

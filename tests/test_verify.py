@@ -320,3 +320,52 @@ class TestDirectPairSystemCertifier:
             verify_labeling(*core.pair_system_labeling(FIG2_5K2), k, d)
         with pytest.raises(DomainError):
             verify_pair_system(FIG2_5K2, k, d)
+
+
+def _sequence_cases():
+    """Every enumerate output of search_sequence with m <= 8 (hooked with
+    d <= 3), each followed by seven damaged copies: two entries swapped, an
+    entry dropped, the hook moved to the front (a Skolem sequence gets one
+    there), one entry set just past the value set, one set to 0, one entry
+    copied over another, and every copy of one entry's value replaced by
+    another's."""
+    rng = random.Random(19)
+    for kind in SequenceKind:
+        for d in ((1, 2, 3) if kind is SequenceKind.HOOKED else (1,)):
+            for m in range(1, 9):
+                for s in hskolem.search_sequence(kind, m, d, "enumerate").solutions:
+                    entries = list(s.entries)
+                    yield s
+                    i, j = rng.sample(range(len(entries)), 2)
+                    swapped = entries[:]
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    yield SequenceForm(kind, swapped, s.d)
+                    yield SequenceForm(kind, entries[:i] + entries[i + 1:], s.d)
+                    yield SequenceForm(kind, [HOOK] + [x for x in entries if x is not HOOK], s.d)
+                    past = entries[:]
+                    past[j] = s.d + m
+                    yield SequenceForm(kind, past, s.d)
+                    past[j] = 0
+                    yield SequenceForm(kind, past, s.d)
+                    copied = entries[:]
+                    copied[j] = entries[i]
+                    yield SequenceForm(kind, copied, s.d)
+                    yield SequenceForm(kind, [entries[j] if x == entries[i] else x
+                                              for x in entries], s.d)
+
+
+class TestSequenceCertifierText:
+    # SHA-256 over verify_sequence's report text for every case, each
+    # followed by a blank line, pinned with the counts on the certifier that
+    # read value_positions() lists, before it took Counter and dict counts.
+    SWEEP_SHA256 = "1ce5b7ee2ef70f8d5bae421a10a3b259b62d9c2133781c26f0f2ead06b0ca5cd"
+
+    def test_report_text_is_pinned(self):
+        digest, cases, invalid = hashlib.sha256(), 0, 0
+        for s in _sequence_cases():
+            report = verify_sequence(s)
+            digest.update(report.to_text().encode() + b"\n\n")
+            cases += 1
+            invalid += not report.valid
+        assert (cases, invalid) == (7448, 6289)
+        assert digest.hexdigest() == self.SWEEP_SHA256
