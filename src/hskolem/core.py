@@ -10,7 +10,7 @@ every text format; certification and its VerifyReport live in verify.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain
 
 # Input bound for the constructor and the survey's --n-max; keeps every label
 # far below 2**63.  Searches check their own bounds and the recursion limit.
@@ -324,19 +324,8 @@ def format_pairs(ps: PairSystem) -> str:
 
 def parse_pairs(text: str) -> PairSystem:
     """Inline pair text "a-b a-b ...", each pair smaller label first."""
-    tokens, numbers = text.split(), text.replace("-", " ").split()
-    digits = "".join(numbers)
-    # One "-" per token and two numbers per token: no token has an empty side.
-    if (digits.isascii() and digits.isdigit() and len(numbers) == 2 * len(tokens)
-            and set(map(str.count, tokens, repeat("-"))) == {1}):
-        try:
-            values = list(map(int, numbers))
-        except ValueError:  # more digits than int() will read: worded below
-            pass
-        else:
-            return PairSystem(zip(values[::2], values[1::2]))
-    pairs = []  # a token at fault, or no token: read one by one for the message
-    for tok in tokens:
+    pairs = []
+    for tok in text.split():
         parts = tok.split("-")
         if len(parts) != 2:
             raise ParseError(f"bad pair token {_quote(tok)}")
@@ -382,11 +371,7 @@ def pair_system_from_json(text: str) -> tuple[PairSystem, int, int]:
     try:
         record = json.loads(text)
         n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))
-        pairs = record["pairs"]
-        if not (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
-                and set(map(type, chain.from_iterable(pairs))) == {int}):
-            # a pair that is not two integers, or no pair: read one by one
-            pairs = tuple((_json_int(a), _json_int(b)) for a, b in pairs)
+        pairs = tuple((_json_int(a), _json_int(b)) for a, b in record["pairs"])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad pair-system record: {exc}") from exc
     if k < 1 or d < 1:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 
 from .core import (
-    HOOK,
     Graph,
     PairSystem,
     SequenceForm,
@@ -144,21 +143,22 @@ def verify_sequence(s: SequenceForm) -> VerifyReport:
                 (HOOK_POSITION, f"hook at positions {hooks}, expected [{hook}]")
             )
 
-    # Each value's count, and its first and last 1-based position.
-    counts = Counter(s.entries)
-    last = dict(zip(s.entries, range(1, length + 1)))
-    first = dict(zip(reversed(s.entries), range(length, 0, -1)))
+    pos = s.value_positions()
     values = range(least, least + m)
-    for v in sorted(counts.keys() - values - {HOOK}):
+    for v in sorted(set(pos) - set(values)):
         violations.append((MULTIPLICITY, f"value {v} outside value set"))
-    distances = []
     for v in values:
-        if counts[v] != 2:
-            violations.append((MULTIPLICITY, f"value {v} appears {counts[v]} times"))
-        elif last[v] - first[v] != v:
-            distances.append((DISTANCE, f"value {v} at positions {first[v]},{last[v]}: "
-                                        f"distance {last[v] - first[v]}"))
-    return _report(violations + distances)
+        where = pos.get(v, [])
+        if len(where) != 2:
+            violations.append((MULTIPLICITY, f"value {v} appears {len(where)} times"))
+    for v in values:
+        where = pos.get(v, [])
+        if len(where) == 2 and where[1] - where[0] != v:
+            violations.append(
+                (DISTANCE, f"value {v} at positions {where[0]},{where[1]}: "
+                           f"distance {where[1] - where[0]}")
+            )
+    return _report(violations)
 
 
 def check_sum_identity(ps: PairSystem, k: int, d: int) -> VerifyReport:

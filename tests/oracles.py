@@ -187,9 +187,9 @@ def _odd_b(i: int, n: int, r: int) -> int:
     return (5 * n + 1) // 2 - i  # 2r+1 <= i <= n-1
 
 
-# The readers one token or pair at a time, as core read every input before
-# its bulk paths: each bulk reader must give the same PairSystem, or raise
-# the same exception type with the same message.
+# The readers one token or pair at a time: any faster reader in core must
+# give the same PairSystem, or raise the same exception type with the same
+# message.
 
 def parse_pairs_per_token(text):
     pairs = []

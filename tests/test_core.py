@@ -370,7 +370,7 @@ def _json_texts(rng):
         yield text + "}"
 
 
-class TestBulkReadersMatchThePerTokenReaders:
+class TestReadersMatchThePerTokenReaders:
     def test_parse_pairs(self):
         seen = set()
         for text in _pair_texts(random.Random(19)):
