@@ -27,12 +27,6 @@ EXIT_CONTRADICTION = 70
 
 _KINDS = {kind.value.replace("_", "-"): kind for kind in core.SequenceKind}
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
 
 def _add_search_flags(p):
     p.add_argument("--mode", choices=search.MODES, default="exists")
@@ -43,18 +37,18 @@ def _add_search_flags(p):
                    help="override the exhaustive-search bound")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hskolem", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hskolem", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct")
-    csub = p_construct.add_subparsers(dest="target", required=True, parser_class=_Parser)
+    csub = p_construct.add_subparsers(dest="target", required=True)
     p_cnk2 = csub.add_parser("nk2")
     p_cnk2.add_argument("--n", type=int, required=True)
     p_cnk2.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify")
-    vsub = p_verify.add_subparsers(dest="target", required=True, parser_class=_Parser)
+    vsub = p_verify.add_subparsers(dest="target", required=True)
     p_vlab = vsub.add_parser("labeling")
     p_vlab.add_argument("--file", required=True)
     p_vseq = vsub.add_parser("sequence")
@@ -63,7 +57,7 @@ def build_parser() -> _Parser:
     p_vseq.add_argument("--seq", required=True)
 
     p_search = sub.add_parser("search")
-    ssub = p_search.add_subparsers(dest="target", required=True, parser_class=_Parser)
+    ssub = p_search.add_subparsers(dest="target", required=True)
     p_snk2 = ssub.add_parser("nk2")
     p_snk2.add_argument("--n", type=int, required=True)
     p_snk2.add_argument("--k", type=int, required=True)
@@ -81,7 +75,7 @@ def build_parser() -> _Parser:
     _add_search_flags(p_sseq)
 
     p_survey = sub.add_parser("survey")
-    usub = p_survey.add_subparsers(dest="target", required=True, parser_class=_Parser)
+    usub = p_survey.add_subparsers(dest="target", required=True)
     p_unk2 = usub.add_parser("nk2")
     p_unk2.add_argument("--n-max", type=int, required=True)
     p_unk2.add_argument("--k", type=int, required=True)
@@ -232,8 +226,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
-    except SystemExit as exc:  # from argparse: --help, or a usage error
-        return exc.code if exc.code is not None else EXIT_USAGE
+    except SystemExit as exc:  # from argparse: 0 after --help, 2 on a usage error
+        return EXIT_USAGE if exc.code == 2 else exc.code
     except construct.NotGraceful as exc:  # construct owns the rule it names
         print(exc, file=sys.stderr)
         return EXIT_NOT_GRACEFUL

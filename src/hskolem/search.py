@@ -21,8 +21,8 @@ A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
 mirror (bit p+1-e for each unused difference e).  A vertex's candidate
 labels are the free labels at an unused difference from every earlier
-neighbour's label, minus the midpoint of any two of those labels, which
-would repeat a difference.  Candidates are tried in ascending order, so
+neighbour's label; one whose differences to two of those labels are equal
+is skipped, never entered.  Candidates are tried in ascending order, so
 label vectors come out in lexicographic order.  In count and exists mode,
 at each vertex that no edge spans (no earlier vertex has a neighbour at or
 after it), the subtree depends on the free labels and unused differences
@@ -231,7 +231,8 @@ def search_nk2(
         raise DomainError("n, k, d must be positive")
     _check_order("n", n, DEFAULT_NK2_BOUND, force)
     free = ((1 << 2 * n) - 2) | (1 << (2 * n + 1))  # {1..2n-1, 2n+1}
-    diffs = sum(1 << diff for diff in edge_target_set(k, d, n))
+    targets = edge_target_set(k, d, n)  # one past the span 2n: the root prunes either way
+    diffs = sum(1 << e for e in targets) if targets[-1] <= 2 * n else 1 << (2 * n + 1)
     return _search(_pair_solve, (free, diffs), _pair_roots(free, diffs), mode,
                    limit, jobs, lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
 
@@ -253,7 +254,7 @@ def search_sequence(
     free = (1 << (length + 1)) - 2  # positions 1..length
     if hook is not None:
         free ^= 1 << hook
-    values = ((1 << m) - 1) << least
+    values = ((1 << m) - 1) << min(least, length)  # past the span: pruned either way
     return _search(_pair_solve, (free, values), _pair_roots(free, values), mode,
                    limit, jobs, wrap)
 
@@ -313,17 +314,11 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
             raise _Stop
         return
     nbrs = prev[v]
+    degree = len(nbrs)
     cand = free
     for u in nbrs:
         lab = labels[u]
         cand &= (unused << lab) | (rev >> (w - lab))
-    if len(nbrs) > 1:
-        # the midpoint of two neighbour labels gives two equal differences
-        for i, u in enumerate(nbrs):
-            for t in nbrs[:i]:
-                s = labels[u] + labels[t]
-                if not s & 1:
-                    cand &= ~(1 << (s >> 1))
     while cand:
         bit = cand & -cand
         cand ^= bit
@@ -334,6 +329,8 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
             e = abs(x - labels[u])
             used |= 1 << e
             rused |= 1 << (w - e)
+        if degree > 1 and used.bit_count() < degree:  # a repeated difference
+            continue
         _graph_rec(v + 1, free ^ bit, unused ^ used, rev ^ rused,
                    labels, prev, w, out, stop, counter, memos)
     if memo is not None and len(memo) < GRAPH_MEMO_ENTRIES:

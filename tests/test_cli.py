@@ -128,6 +128,16 @@ class TestSearch:
         assert code == 0
         assert out == "1 1 2 * 2\n"
 
+    @pytest.mark.parametrize("argv, printed", [
+        (["nk2", "--n", "3", "--k", str(10**20), "--d", "1"], "false\n"),
+        (["nk2", "--n", "3", "--k", "1", "--d", str(10**20), "--mode", "count"], "0\n"),
+        (["sequence", "--kind", "hooked", "--m", "4", "--d", str(10**20),
+          "--mode", "count"], "0\n"),
+    ])
+    def test_difference_past_the_span(self, argv, printed):
+        # No mask is built with bit 10**20 set: the root prunes at once.
+        assert run_cli("search", *argv) == (0, printed, "")
+
     def test_bound_exceeded(self):
         code, _, err = run_cli("search", "nk2", "--n", "11", "--k", "2",
                                "--d", "1", "--mode", "exists")
@@ -247,6 +257,12 @@ class TestSurvey:
         assert all(ln.split()[2] == "-" for ln in lines)
         feasible = [int(ln.split()[0]) for ln in lines if ln.split()[1] == "yes"]
         assert feasible == [n for n in range(1, 13) if n % 4 in (1, 2)]
+
+    def test_difference_past_the_span(self):
+        code, out, err = run_cli("survey", "nk2", "--n-max", "5", "--k", str(10**20),
+                                 "--d", "1", "--search-up-to", "3")
+        assert (code, err) == (0, "")
+        assert [ln.split()[2] for ln in out.splitlines()[1:]] == ["false"] * 3 + ["-"] * 2
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_n_max_below_one_is_usage_error(self, n_max):
@@ -564,7 +580,7 @@ class TestColdProcess:
         assert (checked.returncode, checked.stdout) == (0, "VALID\n")
 
 
-_INT = st.integers(min_value=-2, max_value=8).map(str)
+_INT = (st.integers(min_value=-2, max_value=8) | st.sampled_from([10**9, 10**20])).map(str)
 _KIND = st.sampled_from(["skolem", "hooked-skolem", "hooked"])
 _FORM = st.sampled_from(["pairs", "sequence"])
 _SEQ_TEXT = (st.lists(st.sampled_from(["*", "0", "1", "2", "3", "4", "10", "x"]),

@@ -19,6 +19,7 @@ from hskolem import (
     nk2_graph,
     nk2_parity_feasible,
     pair_system_labeling,
+    pairs_to_sequence,
     partition_census,
     search_graph,
     search_hooked_sequence,
@@ -26,7 +27,6 @@ from hskolem import (
     search_nk2,
     search_sequence,
     search_skolem,
-    sequence_to_pairs,
     survey_nk2,
     verify_labeling,
     verify_pair_system,
@@ -107,14 +107,52 @@ class TestNk2:
 
     def test_same_as_hooked_sequence_search(self):
         # A (k,1) labeling of nK2 and a hooked sequence with differences
-        # k..k+n-1 are the same pair partition of {1..2n-1, 2n+1}.
-        for n in range(1, 8):
-            for k in range(1, 4):
-                labelings = [ps.pairs for ps in
-                             search_nk2(n, k, 1, "enumerate").solutions]
-                sequences = [tuple(sorted(sequence_to_pairs(s).pairs)) for s in
-                             search_hooked_sequence(k, n, "enumerate").solutions]
-                assert labelings == sequences
+        # k..k+n-1 are the same pair partition of {1..2n-1, 2n+1}, walked
+        # on the same masks: answers, node totals and solutions agree.
+        runs = [("exists", None), ("first", None), ("count", None),
+                ("enumerate", None), ("enumerate", 3)]
+        for n in range(1, 10):
+            for k in range(1, 5):
+                for mode, limit in runs:
+                    labelings = search_nk2(n, k, 1, mode, limit)
+                    sequences = search_sequence(SequenceKind.HOOKED, n, k, mode, limit)
+                    assert ((labelings.exists, labelings.count,
+                             labelings.stats.nodes_expanded)
+                            == (sequences.exists, sequences.count,
+                                sequences.stats.nodes_expanded)), (n, k, mode, limit)
+                    assert ([pairs_to_sequence(ps, SequenceKind.HOOKED, d=k)
+                             for ps in labelings.solutions]
+                            == sequences.solutions), (n, k, mode, limit)
+
+    @pytest.mark.parametrize("mode", search.MODES)
+    def test_difference_past_the_span(self, mode):
+        # The largest difference, 2n + 1 or more, fails the root's prune
+        # test however large it is: a huge k or d answers as an instance
+        # just past the span does, with the root as the one node.
+        def key(out):
+            return out.exists, out.count, out.solutions, out.stats.nodes_expanded
+
+        for n in (1, 3, 6):
+            past = key(search_nk2(n, n + 2, 1, mode))  # differences n+2..2n+1
+            assert past[3] == 1
+            for k, d in [(10**20, 1), (1, 10**20), (10**9, 10**9)]:
+                assert key(search_nk2(n, k, d, mode, jobs=2)) == past, (n, k, d)
+        past = key(search_sequence(SequenceKind.HOOKED, 4, 6, mode))  # values 6..9
+        assert past[3] == 1
+        for d in (10**9, 10**20):
+            assert key(search_sequence(SequenceKind.HOOKED, 4, d, mode)) == past, d
+
+    def test_difference_past_the_span_builds_no_big_mask(self):
+        # A mask with bit k set takes k / 8 bytes: 1.25 MB at k = 10**7.
+        tracemalloc.start()
+        try:
+            search_nk2(3, 10**7, 1, "count")
+            search_nk2(3, 1, 10**7, "count")
+            search_sequence(SequenceKind.HOOKED, 4, 10**7, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_pruning_keeps_every_solution(self):
         # The prune rule is always on; the by-value oracle shares none of it.
@@ -385,6 +423,21 @@ class TestGraphAgainstBruteForce:
                         assert found == graph_labelings_brute(p, edges, k, d), (p, edges, k, d)
                         cases += 1
         assert cases == 666
+
+    def test_nodes_are_the_plain_tree(self):
+        # Where a vertex has two or more earlier neighbours, a label at
+        # equal differences from two of them is skipped, never entered.
+        graphs = list(SMALL_GRAPHS.values())
+        for p in range(2, 6):
+            pairs = list(combinations(range(1, p + 1), 2))
+            graphs += [Graph(p, edges) for q in range(p + 1)
+                       for edges in combinations(pairs, q)]
+        assert len(graphs) * 9 == 6453
+        for g in graphs:
+            for k in range(1, 4):
+                for d in range(1, 4):
+                    assert (search_graph(g, k, d, "count").stats.nodes_expanded
+                            == graph_tree_nodes(g.p, g.edges, k, d)), (g, k, d)
 
 
 class TestStopIsAPrefix:
