@@ -2,20 +2,23 @@
 
 nK2 pair systems, Skolem, hooked Skolem and hooked sequences are one
 problem: partition a set of positions into pairs whose differences are a
-given set.  One pair-partition engine solves all four on a (free-position
-bitmask, unused-difference bitmask) state: search_nk2 builds the masks of a
+given set.  search_nk2 builds the position and difference bitmasks of a
 pair system, and search_sequence those of every sequence kind from
-core.sequence_shape.  The engine pairs the lowest free position a with
-a + r for each unused difference r in ascending order, so solutions come
-out in a fixed canonical order:
+core.sequence_shape; one pair-partition engine then solves all four.  It
+pairs the lowest free position a with a + r for each unused difference r
+in ascending order, so solutions come out in a fixed canonical order:
 
 * nK2 pair systems: pairs are emitted sorted by smaller element, and
   solution lists compare lexicographically.
 * sequences: entry tuples in lexicographic order (leftmost empty slot filled
   first, values ascending).
 
-One walker serves all four modes.  Only first and enumerate keep a trail,
-a chain of the pairs made so far that each leaf flattens into a solution.
+The walker's masks are shifted to a: bit j of f is the free position
+a + j + 1 and bit j of diffs the unused difference j + 1.  So the
+candidates are f & diffs, and a state whose highest unused difference
+exceeds its span, diffs.bit_length() > f.bit_length(), is pruned.  One
+walker serves all four modes.  Only first and enumerate keep a trail, a
+chain of (bit, shift) links that each leaf turns back into its pairs.
 
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
@@ -162,64 +165,69 @@ def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
 # pair partitions: nK2 labelings and Skolem-type sequences
 # ---------------------------------------------------------------------------
 
-def _pair_walk(free, diffs, path, counter, stop) -> None:
-    # counter is [nodes, solutions].  path is None or a chain of
-    # (parent, a, bit) links ending in (out,); a leaf appends its flat
+def _pair_walk(f, diffs, path, counter, stop) -> None:
+    # (f, diffs) is the shifted state of the module docstring; f == 0 is a
+    # leaf, as the free positions number twice the unused differences.
+    # counter is [nodes, solutions].  path is None or a chain of (parent,
+    # bit, shift) links, shift the step from a to the child's lowest free
+    # position, ending in (out, a) at the root; a leaf appends its flat
     # (a1, b1, a2, b2, ...) to out: a third of nested pairs' memory.
     counter[0] += 1
-    if not free:
+    if not f:
         counter[1] += 1
         if path:
-            flat = []
+            flat, a = [], 0  # positions less the last pair's smaller one
             while len(path) == 3:
-                path, a, bit = path
-                flat += (a + bit.bit_length() - 1, a)
-            path[0].append(tuple(flat[::-1]))
+                path, bit, shift = path
+                a -= shift
+                flat += (a + bit.bit_length(), a)
+            out, a0 = path  # map, not a comprehension: no closure cells per call
+            out.append(tuple(map((a0 - a).__add__, reversed(flat))))
         if counter[1] == stop:
             raise _Stop
         return
-    low = free & -free
-    a = low.bit_length() - 1
-    # highest unused difference > highest free position - a
-    if diffs.bit_length() > free.bit_length() - a:
+    if diffs.bit_length() > f.bit_length():  # the prune test
         return
-    rest = free ^ low
-    cand = (rest >> a) & diffs
+    cand = f & diffs
     while cand:
         bit = cand & -cand
         cand ^= bit
-        _pair_walk(rest ^ (bit << a), diffs ^ bit, path and (path, a, bit),
-                   counter, stop)
-
-
-def _pair_roots(free: int, diffs: int):
-    """Differences that can pair the lowest free position, ascending; none
-    when the root state fails the prune test."""
-    a = (free & -free).bit_length() - 1
-    if diffs.bit_length() > free.bit_length() - a:
-        return
-    cand = ((free & (free - 1)) >> a) & diffs
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        yield bit.bit_length() - 1
+        g = f ^ bit
+        shift = (g & -g).bit_length()
+        _pair_walk(g >> shift, diffs ^ bit, path and (path, bit, shift), counter, stop)
 
 
 def _pair_solve(args):
-    free, diffs, stop, keep, root = args
+    f, diffs, a0, stop, keep, bit = args
     out: list = []
-    path = (out,) if keep else None
-    if root is not None:
-        a = (free & -free).bit_length() - 1
-        free ^= (1 << a) | (1 << (a + root))
-        diffs ^= 1 << root
-        path = path and (path, a, 1 << root)
+    path = (out, a0) if keep else None
+    if bit is not None:  # a root task: the root's pair is made here
+        g = f ^ bit
+        shift = (g & -g).bit_length()
+        f, diffs, path = g >> shift, diffs ^ bit, path and (path, bit, shift)
     counter = [0, 0]  # nodes, solutions
     try:
-        _pair_walk(free, diffs, path, counter, stop)
+        _pair_walk(f, diffs, path, counter, stop)
     except _Stop:
         pass
     return counter[1], out, counter[0]
+
+
+def _pair_roots(f: int, diffs: int):
+    """The root's candidate bits, ascending; none when it fails the prune test."""
+    if diffs.bit_length() <= f.bit_length():
+        cand = f & diffs
+        while cand:
+            yield cand & -cand
+            cand &= cand - 1
+
+
+def _pair_search(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
+    """Search from absolute masks (bit r: position or difference r)."""
+    shift = (free & -free).bit_length()
+    f, diffs = free >> shift, diffs >> 1
+    return _search(_pair_solve, (f, diffs, shift - 1), _pair_roots(f, diffs), mode,
+                   limit, jobs, wrap)
 
 
 def search_nk2(
@@ -233,8 +241,8 @@ def search_nk2(
     free = ((1 << 2 * n) - 2) | (1 << (2 * n + 1))  # {1..2n-1, 2n+1}
     targets = edge_target_set(k, d, n)  # one past the span 2n: the root prunes either way
     diffs = sum(1 << e for e in targets) if targets[-1] <= 2 * n else 1 << (2 * n + 1)
-    return _search(_pair_solve, (free, diffs), _pair_roots(free, diffs), mode,
-                   limit, jobs, lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
+    return _pair_search(free, diffs, mode, limit, jobs,
+                        lambda flat: PairSystem(zip(flat[::2], flat[1::2])))
 
 
 def search_sequence(
@@ -255,8 +263,7 @@ def search_sequence(
     if hook is not None:
         free ^= 1 << hook
     values = ((1 << m) - 1) << min(least, length)  # past the span: pruned either way
-    return _search(_pair_solve, (free, values), _pair_roots(free, values), mode,
-                   limit, jobs, wrap)
+    return _pair_search(free, values, mode, limit, jobs, wrap)
 
 
 def search_skolem(

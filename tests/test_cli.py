@@ -380,6 +380,31 @@ class TestConvert:
         assert out == "" and err.startswith("error: ")
 
 
+class TestConvertCertifiesSequences:
+    # A sequence that convert would print must pass verify_sequence.
+    @pytest.mark.parametrize("argv", [
+        ["--from", "pairs", "--kind", "hooked", "--d", "5", "--in", "1-3"],
+        ["--from", "pairs", "--kind", "skolem", "--in", "1-3 2-4"],
+        ["--from", "sequence", "--kind", "skolem", "--in", "2 2 2 2"],
+    ], ids=["hooked-value-below-d", "skolem-repeated-difference", "sequence-to-sequence"])
+    def test_invalid_sequence_is_bad_data(self, argv):
+        code, out, err = run_cli("convert", "--to", "sequence", *argv)
+        assert code == 65 and out == ""
+        assert err.startswith("error: not a valid sequence: multiplicity: ")
+        assert "Traceback" not in err
+
+    def test_long_violation_is_cut_short(self):
+        code, out, err = run_cli("convert", "--from", "sequence", "--to", "sequence",
+                                 "--kind", "skolem", "--in", "* " * 50_000)
+        assert code == 65 and out == ""
+        assert len(err.encode()) < 300 and err.startswith("error: ")
+
+    def test_valid_sequences_still_convert(self):
+        code, out, _ = run_cli("convert", "--from", "sequence", "--to", "sequence",
+                               "--kind", "hooked", "--d", "3", "--in", "48574365387*6")
+        assert (code, out) == (0, "4 8 5 7 4 3 6 5 3 8 7 * 6\n")
+
+
 class TestUsage:
     def test_unknown_command(self):
         code, _, _ = run_cli("frobnicate")

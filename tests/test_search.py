@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import sys
@@ -13,6 +14,7 @@ from hskolem import (
     BoundExceeded,
     DomainError,
     Graph,
+    PairSystem,
     SequenceKind,
     expected_cross_edges,
     hooked_sequence_necessary,
@@ -265,8 +267,13 @@ class TestPairNodesPinned:
         (partial(search_hooked_skolem, 10, "exists"), 491),
         (partial(search_skolem, 9, "count"), 42808),
         (partial(search_hooked_skolem, 9, "count"), 44013),
+        # Skolem m = 10 has no solution, so each mode walks the whole tree.
+        (partial(search_sequence, SequenceKind.SKOLEM, 10, 1, "exists"), 244129),
+        (partial(search_sequence, SequenceKind.SKOLEM, 10, 1, "first"), 244129),
+        (partial(search_sequence, SequenceKind.SKOLEM, 10, 1, "enumerate", 2), 244129),
     ], ids=["nk2-10-2-1", "nk2-9-2-1", "nk2-9-1-1", "skolem-9", "hooked-skolem-10",
-            "skolem-9-count", "hooked-skolem-9-count"])
+            "skolem-9-count", "hooked-skolem-9-count", "skolem-10-exists",
+            "skolem-10-first", "skolem-10-enumerate-2"])
     def test_nodes(self, run, nodes):
         assert run().stats.nodes_expanded == nodes
 
@@ -308,6 +315,23 @@ class TestCountAgreesWithEnumerate:
             if count.count == 0:
                 assert (exists.stats.nodes_expanded
                         == count.stats.nodes_expanded), name
+
+
+class TestPairEnumeratePinned:
+    # One SHA-256 over every pair instance's enumerate output, in order, and
+    # its nodes_expanded: a change to the walker's state or trail must keep
+    # both.  The digest was taken from the absolute-mask walker.
+    DIGEST = "759a0283fecfa9d185fa30b01066e77301f0f80ebfd7bafcfccf19a9c7841d9c"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_digest(self, jobs):
+        digest = hashlib.sha256()
+        for name, run in pair_instances():
+            out = run("enumerate", jobs=jobs)
+            sols = [sol.pairs if isinstance(sol, PairSystem) else entries_as_ints(sol)
+                    for sol in out.solutions]
+            digest.update(f"{name} {out.stats.nodes_expanded} {sols}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestCountKeepsAnInteger:
