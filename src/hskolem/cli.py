@@ -194,18 +194,18 @@ def _cmd_survey(args) -> int:
 def _convert(text: str, args, kind: core.SequenceKind) -> str:
     if args.from_form == "sequence":
         s = core.parse_sequence(text, kind=kind, d=args.d)
-        if args.to_form == "pairs":
-            return core.format_pairs(core.sequence_to_pairs(s))
     else:
         ps = (core.pair_system_from_json(text)[0] if text.lstrip().startswith("{")
               else core.parse_pairs(text))
         if args.to_form == "pairs":
             return core.format_pairs(ps)
         s = core.pairs_to_sequence(ps, kind, d=args.d)
-    report = verify.verify_sequence(s)  # a printed sequence must pass its certifier
+    report = verify.verify_sequence(s)  # every sequence read or built, before any output
     if not report.valid:
         cid, detail = report.violations[0]
         raise core.DomainError(f"not a valid sequence: {cid}: {core._quote(detail)}")
+    if args.to_form == "pairs":
+        return core.format_pairs(core.sequence_to_pairs(s))
     return core.format_sequence(s)
 
 

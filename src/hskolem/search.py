@@ -16,9 +16,10 @@ in ascending order, so solutions come out in a fixed canonical order:
 The walker's masks are shifted to a: bit j of f is the free position
 a + j + 1 and bit j of diffs the unused difference j + 1.  So the
 candidates are f & diffs, and a state whose highest unused difference
-exceeds its span, diffs.bit_length() > f.bit_length(), is pruned.  One
-walker serves all four modes.  Only first and enumerate keep a trail, a
-chain of (bit, shift) links that each leaf turns back into its pairs.
+exceeds its span, diffs.bit_length() > f.bit_length(), is pruned: its
+parent tests the child and never enters it.  One walker serves all four
+modes.  Only first and enumerate keep a trail, a chain of (bit, shift)
+links that each leaf turns back into its pairs.
 
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
@@ -31,13 +32,14 @@ at each vertex that no edge spans (no earlier vertex has a neighbour at or
 after it), the subtree depends on the free labels and unused differences
 alone, so the engine memoizes its node and solution counts.
 
-Both engines count and stop alike.  nodes_expanded counts each state a
-walker enters, pruned states and leaves included; a memo hit counts its
-cached subtree, so the figure is the size of the plain tree however much
-work the memo saves, and the parallel merge adds the root, which no root
-task enters.  The leaf that brings the solution count to the mode's stop
-(1 for exists and first, the limit for enumerate, none for count) raises a
-private _Stop, which the engine's solve function catches.
+Both engines count and stop alike.  Every state reached counts once in
+nodes_expanded: an entered state on entry, leaves included, and a pruned
+pair state by its parent.  A memo hit counts its cached subtree, so the
+figure is the size of the plain tree however much work the memo saves,
+and the parallel merge adds the root, which no root task enters.  The
+leaf that brings the solution count to the mode's stop (1 for exists and
+first, the limit for enumerate, none for count) raises a private _Stop,
+which the engine's solve function catches.
 
 One driver, _search, runs both engines.  With jobs > 1 it splits the
 choices at the root across worker processes and merges the per-root results
@@ -166,8 +168,9 @@ def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
 # ---------------------------------------------------------------------------
 
 def _pair_walk(f, diffs, path, counter, stop) -> None:
-    # (f, diffs) is the shifted state of the module docstring; f == 0 is a
-    # leaf, as the free positions number twice the unused differences.
+    # (f, diffs) is the shifted state of the module docstring, and passes
+    # the prune test: the parent counts a pruned child and never enters it.
+    # f == 0 is a leaf: the free positions number twice the unused differences.
     # counter is [nodes, solutions].  path is None or a chain of (parent,
     # bit, shift) links, shift the step from a to the child's lowest free
     # position, ending in (out, a) at the root; a leaf appends its flat
@@ -186,15 +189,18 @@ def _pair_walk(f, diffs, path, counter, stop) -> None:
         if counter[1] == stop:
             raise _Stop
         return
-    if diffs.bit_length() > f.bit_length():  # the prune test
-        return
     cand = f & diffs
     while cand:
         bit = cand & -cand
         cand ^= bit
         g = f ^ bit
         shift = (g & -g).bit_length()
-        _pair_walk(g >> shift, diffs ^ bit, path and (path, bit, shift), counter, stop)
+        g >>= shift
+        rest = diffs ^ bit
+        if rest.bit_length() > g.bit_length():  # the prune test
+            counter[0] += 1
+            continue
+        _pair_walk(g, rest, path and (path, bit, shift), counter, stop)
 
 
 def _pair_solve(args):
@@ -206,10 +212,13 @@ def _pair_solve(args):
         shift = (g & -g).bit_length()
         f, diffs, path = g >> shift, diffs ^ bit, path and (path, bit, shift)
     counter = [0, 0]  # nodes, solutions
-    try:
-        _pair_walk(f, diffs, path, counter, stop)
-    except _Stop:
-        pass
+    if diffs.bit_length() > f.bit_length():  # the prune test: counted, not entered
+        counter[0] = 1
+    else:
+        try:
+            _pair_walk(f, diffs, path, counter, stop)
+        except _Stop:
+            pass
     return counter[1], out, counter[0]
 
 

@@ -381,7 +381,7 @@ class TestConvert:
 
 
 class TestConvertCertifiesSequences:
-    # A sequence that convert would print must pass verify_sequence.
+    # A sequence that convert reads or builds must pass verify_sequence.
     @pytest.mark.parametrize("argv", [
         ["--from", "pairs", "--kind", "hooked", "--d", "5", "--in", "1-3"],
         ["--from", "pairs", "--kind", "skolem", "--in", "1-3 2-4"],
@@ -391,6 +391,14 @@ class TestConvertCertifiesSequences:
         code, out, err = run_cli("convert", "--to", "sequence", *argv)
         assert code == 65 and out == ""
         assert err.startswith("error: not a valid sequence: multiplicity: ")
+        assert "Traceback" not in err
+
+    def test_invalid_sequence_to_pairs_is_bad_data(self):
+        # Each value appears twice, but 2 sits at distance 3.
+        code, out, err = run_cli("convert", "--from", "sequence", "--to", "pairs",
+                                 "--kind", "skolem", "--in", "2 1 1 2")
+        assert code == 65 and out == ""
+        assert err.startswith("error: not a valid sequence: distance: ")
         assert "Traceback" not in err
 
     def test_long_violation_is_cut_short(self):

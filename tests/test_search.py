@@ -3,6 +3,7 @@ import inspect
 import random
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from itertools import combinations
 from math import factorial
@@ -689,6 +690,33 @@ class TestPairTreeOracle:
                     == pair_tree_nodes(free, diffs)), name
             checked += 1
         assert checked == 98
+
+
+class TestPairWalkEntersNoPrunedState:
+    # The walker applies the prune test to each child and counts a pruned
+    # child without entering it.  The recursion goes through the module
+    # global, so the wrapper sees every entered state; root tasks run on
+    # threads here, so that it sees theirs too.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", search.MODES)
+    @pytest.mark.parametrize("run", [
+        partial(search_nk2, 7, 2, 1),
+        partial(search_sequence, SequenceKind.SKOLEM, 8, 1),
+    ], ids=["nk2-7-2-1", "skolem-8"])
+    def test_entered_states_pass_the_prune_test(self, monkeypatch, run, mode, jobs):
+        entered = []
+        walk = search._pair_walk
+
+        def record(f, diffs, *rest):
+            entered.append((f, diffs))
+            walk(f, diffs, *rest)
+
+        monkeypatch.setattr(search, "_pair_walk", record)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
+        out = run(mode, jobs=jobs)
+        assert [(f, diffs) for f, diffs in entered
+                if diffs.bit_length() > f.bit_length()] == []
+        assert 0 < len(entered) < out.stats.nodes_expanded
 
 
 class TestSurvey:
