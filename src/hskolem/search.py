@@ -14,12 +14,13 @@ in ascending order, so solutions come out in a fixed canonical order:
   first, values ascending).
 
 The walker's masks are shifted to a: bit j of f is the free position
-a + j + 1 and bit j of diffs the unused difference j + 1.  So the
-candidates are f & diffs, and a state whose highest unused difference
-exceeds its span, diffs.bit_length() > f.bit_length(), is pruned: its
-parent tests the child and never enters it.  One walker serves all four
-modes.  Only first and enumerate keep a trail, a chain of (bit, shift)
-links that each leaf turns back into its pairs.
+a + j + 1 and bit j of diffs the unused difference j + 1.  So a state's
+candidates are f & diffs, which its parent passes down, and a state whose
+highest unused difference exceeds its span, diffs.bit_length() >
+f.bit_length(), is pruned: its parent tests the child and never enters
+it.  One walker serves all four modes.  Only first and enumerate keep a
+trail, a chain of (bit, shift) links that each leaf turns back into its
+pairs.
 
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
@@ -35,20 +36,21 @@ alone, so the engine memoizes its node and solution counts.
 Both engines count and stop alike.  Every state reached counts once in
 nodes_expanded: an entered state on entry, leaves included, and a pruned
 pair state by its parent.  A memo hit counts its cached subtree, so the
-figure is the size of the plain tree however much work the memo saves,
-and the parallel merge adds the root, which no root task enters.  The
-leaf that brings the solution count to the mode's stop (1 for exists and
-first, the limit for enumerate, none for count) raises a private _Stop,
-which the engine's solve function catches.
+figure is the size of the plain tree however much work the memo saves.
+Every root task enters the root, and the parallel merge counts it once.
+The leaf that brings the solution count to the mode's stop (1 for exists
+and first, the limit for enumerate, none for count) raises a private
+_Stop, which the engine's solve function catches.
 
-One driver, _search, runs both engines.  With jobs > 1 it splits the
-choices at the root across worker processes and merges the per-root results
-in root order, so existence, counts, the first solution, and enumeration
-order are identical to serial execution.  With no root to split (a pruned
-pair root, or a graph whose count or exists memo root tasks would rebuild)
-it makes the serial call.  In count mode nodes_expanded is the same for
-every jobs value; in exists, first and enumerate it may differ, because
-each root task stops on its own.
+One driver, _search, runs both engines on a bit mask of the root's
+choices.  With jobs > 1 and two or more choices, each choice is one root
+task on a worker process, and the results merge in root order, so
+existence, counts, the first solution, and enumeration order are identical
+to serial execution.  Otherwise it makes the serial call: a pruned pair
+root is answered without a walk, and a graph whose count or exists memo
+root tasks would rebuild passes no choices.  In count mode nodes_expanded
+is the same for every jobs value; in exists, first and enumerate it may
+differ, because each root task stops on its own.
 """
 
 from __future__ import annotations
@@ -140,23 +142,24 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
-def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
-    """solve((*args, stop, keep, root)) returns (solutions found, solutions
-    kept, nodes); it keeps [] when keep is off.  roots may be lazy: the
-    serial call, with root None, never reads it."""
+def _search(solve, args, root, mode, limit, jobs, wrap) -> SearchOutcome:
+    """solve((*args, stop, keep, choices)) walks from the root through the
+    choices, the mask root or one bit of it, and returns (solutions found,
+    solutions kept, nodes), the root included; it keeps [] when keep is off."""
     stop, keep = _stop_for(mode, limit, jobs)
-    tasks = [(*args, stop, keep, root) for root in roots] if jobs > 1 else ()
-    if tasks:
+    if jobs > 1 and root & root - 1:  # two or more choices: one task each
+        tasks = [(*args, stop, keep, 1 << i)
+                 for i in range(root.bit_length()) if root >> i & 1]
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
             counts, parts, task_nodes = zip(*pool.map(solve, tasks))
         count = sum(counts)
-        nodes = 1 + sum(task_nodes)  # the root, which no task enters
+        nodes = sum(task_nodes) - len(tasks) + 1  # every task enters the root
         sols = [sol for part in parts for sol in part][:stop]
     else:
-        count, sols, nodes = solve((*args, stop, keep, None))
+        count, sols, nodes = solve((*args, stop, keep, root))
     if sols:
         sols = [wrap(sol) for sol in sols]
     return SearchOutcome(count > 0, count if mode == "count" else None, sols,
@@ -167,9 +170,10 @@ def _search(solve, args, roots, mode, limit, jobs, wrap) -> SearchOutcome:
 # pair partitions: nK2 labelings and Skolem-type sequences
 # ---------------------------------------------------------------------------
 
-def _pair_walk(f, diffs, path, counter, stop) -> None:
+def _pair_walk(f, diffs, cand, path, counter, stop) -> None:
     # (f, diffs) is the shifted state of the module docstring, and passes
     # the prune test: the parent counts a pruned child and never enters it.
+    # cand is the candidates to try: f & diffs, or a root task's one bit.
     # f == 0 is a leaf: the free positions number twice the unused differences.
     # counter is [nodes, solutions].  path is None or a chain of (parent,
     # bit, shift) links, shift the step from a to the child's lowest free
@@ -189,7 +193,6 @@ def _pair_walk(f, diffs, path, counter, stop) -> None:
         if counter[1] == stop:
             raise _Stop
         return
-    cand = f & diffs
     while cand:
         bit = cand & -cand
         cand ^= bit
@@ -200,43 +203,27 @@ def _pair_walk(f, diffs, path, counter, stop) -> None:
         if rest.bit_length() > g.bit_length():  # the prune test
             counter[0] += 1
             continue
-        _pair_walk(g, rest, path and (path, bit, shift), counter, stop)
+        _pair_walk(g, rest, g & rest, path and (path, bit, shift), counter, stop)
 
 
 def _pair_solve(args):
-    f, diffs, a0, stop, keep, bit = args
+    f, diffs, a0, stop, keep, cand = args
     out: list = []
-    path = (out, a0) if keep else None
-    if bit is not None:  # a root task: the root's pair is made here
-        g = f ^ bit
-        shift = (g & -g).bit_length()
-        f, diffs, path = g >> shift, diffs ^ bit, path and (path, bit, shift)
     counter = [0, 0]  # nodes, solutions
-    if diffs.bit_length() > f.bit_length():  # the prune test: counted, not entered
-        counter[0] = 1
-    else:
-        try:
-            _pair_walk(f, diffs, path, counter, stop)
-        except _Stop:
-            pass
+    try:
+        _pair_walk(f, diffs, cand, (out, a0) if keep else None, counter, stop)
+    except _Stop:
+        pass
     return counter[1], out, counter[0]
-
-
-def _pair_roots(f: int, diffs: int):
-    """The root's candidate bits, ascending; none when it fails the prune test."""
-    if diffs.bit_length() <= f.bit_length():
-        cand = f & diffs
-        while cand:
-            yield cand & -cand
-            cand &= cand - 1
 
 
 def _pair_search(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
     """Search from absolute masks (bit r: position or difference r)."""
     shift = (free & -free).bit_length()
     f, diffs = free >> shift, diffs >> 1
-    return _search(_pair_solve, (f, diffs, shift - 1), _pair_roots(f, diffs), mode,
-                   limit, jobs, wrap)
+    if diffs.bit_length() > f.bit_length():  # the prune test: the root is the one node
+        return _search(lambda args: (0, [], 1), (), 0, mode, limit, jobs, wrap)
+    return _search(_pair_solve, (f, diffs, shift - 1), f & diffs, mode, limit, jobs, wrap)
 
 
 def search_nk2(
@@ -354,7 +341,7 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
 
 
 def _graph_solve(args):
-    p, edges, k, d, memo_at, stop, keep, first_label = args
+    p, edges, k, d, memo_at, stop, keep, root = args
     w = p + 1
     # A difference above p joins no two labels of {1..p-1, p+1}; dropping
     # it keeps w - e, the shift that builds rev, non-negative.
@@ -373,10 +360,10 @@ def _graph_solve(args):
     counter = [0, 0]  # nodes, solutions
     out: list = []
     v = 0
-    if first_label is not None:
-        labels[0] = first_label
-        free ^= 1 << first_label
-        v = 1
+    if root.bit_count() == 1:  # a root task: vertex 0 takes the one label
+        labels[0] = root.bit_length() - 1
+        free ^= root
+        counter[0] = v = 1  # the root
     try:
         _graph_rec(v, free, unused, rev, labels, prev, w, out if keep else None,
                    stop, counter, memos)
@@ -394,16 +381,16 @@ def search_graph(
         raise DomainError("k, d must be positive")
     _check_order("p", g.p, DEFAULT_GRAPH_BOUND, force)
     if not size_necessary(g.p, g.q):
-        return _search(lambda args: (0, [], 0), (), (), mode, limit, jobs, VertexLabeling)
+        return _search(lambda args: (0, [], 0), (), 0, mode, limit, jobs, VertexLabeling)
     # memo_at[x]: no edge spans vertex x (0-based), so the count and exists
     # memo works there.  Root tasks would each rebuild that memo, so a graph
-    # with a memo vertex other than 0 runs serially in those modes.
+    # with a memo vertex other than 0 passes no root choices in those modes.
     memo_at = [True] * g.p
     for u, v in g.edges:  # 1-based, with u < v: the edge spans u..v-1
         memo_at[u:v] = [False] * (v - u)
     serial = mode in ("count", "exists") and any(memo_at[1:])
-    roots = () if serial else sorted(target_label_set(g.p))
-    return _search(_graph_solve, (g.p, g.edges, k, d, memo_at), roots, mode, limit,
+    root = 0 if serial else sum(1 << lab for lab in target_label_set(g.p))
+    return _search(_graph_solve, (g.p, g.edges, k, d, memo_at), root, mode, limit,
                    jobs, VertexLabeling)
 
 

@@ -543,7 +543,7 @@ class TestGraphMemo:
     # stays the size of the plain tree.
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_nodes_are_the_plain_tree(self, jobs):
-        # The parallel merge counts the root, which no root task expands.
+        # Every root task enters the root, and the parallel merge counts it once.
         for name, g in memo_graphs():
             for k in (1, 2):
                 for d in (1, 2):
@@ -638,8 +638,8 @@ class TestDeterminismAndParallel:
 
 class TestCountNodesAcrossJobs:
     # In count mode nodes_expanded is the whole tree for every jobs value:
-    # the parallel merge counts the root, which no root task expands, and a
-    # pair root that fails the prune test yields no root tasks at all.
+    # every root task enters the root and the parallel merge counts it once,
+    # and a pair root that fails the prune test is answered with no walk.
     # TestGraphMemo checks the graph engine's count against its oracle for
     # both jobs values.
     def test_pair_instances(self):
@@ -655,9 +655,24 @@ class TestCountNodesAcrossJobs:
 
     def test_pruned_root_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(search, "_pair_walk", no_pool)  # answered with no walk
         for jobs in (1, 2):
             out = search_nk2(8, 1, 3, "count", jobs=jobs)
             assert (out.count, out.stats.nodes_expanded) == (0, 1)
+
+    @pytest.mark.parametrize("run", [
+        partial(search_hooked_sequence, 2, 1),
+        partial(search_hooked_sequence, 2, 2),
+        partial(search_hooked_sequence, 3, 2),
+        partial(search_nk2, 2, 2, 1),
+    ], ids=["hooked-2-1", "hooked-2-2", "hooked-3-2", "nk2-2-2-1"])
+    def test_one_root_choice_starts_no_pool(self, monkeypatch, run):
+        # A root with one choice makes one task, which walks the serial tree.
+        serial = run("count")
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        parallel = run("count", jobs=2)
+        assert ((parallel.count, parallel.stats.nodes_expanded)
+                == (serial.count, serial.stats.nodes_expanded))
 
 
 def pair_trees():
@@ -680,8 +695,8 @@ def pair_trees():
 
 class TestPairTreeOracle:
     # count-mode nodes_expanded is the size of the plain tree, for every
-    # jobs value: the walker counts each state it enters, and the parallel
-    # merge the root.
+    # jobs value: every state reached counts once, and the parallel merge
+    # counts the root once, though every root task enters it.
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_count_nodes_are_the_plain_tree(self, jobs):
         checked = 0
