@@ -6,7 +6,9 @@ exists for the requested order, 3 search bound exceeded, 64 usage error
 input, 70 internal contradiction; main alone maps errors to them.  Files
 are read as UTF-8 and parsed by core.  survey searches its rows serially
 (no --jobs), checks the bound first and prints rows as it goes, so a
-contradiction met mid-table exits 70 after the earlier rows.
+contradiction met mid-table exits 70 after the earlier rows.  The parser
+and main need only core; each command imports the modules it runs, so a
+call loads (and, with no bytecode, compiles) no other.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import os
 import sys
 
-from . import construct, core, search, verify
+from . import core
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -29,7 +31,7 @@ _KINDS = {kind.value.replace("_", "-"): kind for kind in core.SequenceKind}
 
 
 def _add_search_flags(p):
-    p.add_argument("--mode", choices=search.MODES, default="exists")
+    p.add_argument("--mode", choices=core.MODES, default="exists")
     p.add_argument("--limit", type=int, default=None,
                    help="max solutions for --mode enumerate")
     p.add_argument("--jobs", type=int, default=1)
@@ -128,6 +130,7 @@ def _kind(args) -> core.SequenceKind:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct
     ps = construct.construct_nk2_21(args.n)
     if args.format == "json":
         print(core.pair_system_to_json(ps, 2, 1))
@@ -137,6 +140,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     if args.target == "labeling":
         ps, k, d = _parse(core.pair_system_from_json, _read(args.file))
         report = verify.verify_pair_system(ps, k, d)
@@ -160,6 +164,7 @@ def _print_outcome(outcome, mode, render) -> None:
 
 
 def _cmd_search(args) -> int:
+    from . import search
     kwargs = dict(mode=args.mode, limit=args.limit, jobs=args.jobs,
                   force=args.force)
     if args.target == "nk2":
@@ -177,6 +182,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    from . import search
     if not 1 <= args.n_max <= core.MAX_ORDER:
         raise core.DomainError(f"--n-max must be in 1..{core.MAX_ORDER}, got {args.n_max}")
     for n in range(1, args.n_max + 1):  # one row at a time: memory stays flat
@@ -192,6 +198,7 @@ def _cmd_survey(args) -> int:
 
 
 def _convert(text: str, args, kind: core.SequenceKind) -> str:
+    from . import verify
     if args.from_form == "sequence":
         s = core.parse_sequence(text, kind=kind, d=args.d)
     else:
@@ -231,10 +238,10 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args)
     except SystemExit as exc:  # from argparse: 0 after --help, 2 on a usage error
         return EXIT_USAGE if exc.code == 2 else exc.code
-    except construct.NotGraceful as exc:  # construct owns the rule it names
+    except core.NotGraceful as exc:
         print(exc, file=sys.stderr)
         return EXIT_NOT_GRACEFUL
-    except search.BoundExceeded as exc:
+    except core.BoundExceeded as exc:
         print(f"error: {exc} (use --force to override)", file=sys.stderr)
         return EXIT_BOUND
     except _BadData as exc:
@@ -247,7 +254,7 @@ def main(argv=None) -> int:
         print("error: instance too large for the search's recursion depth",
               file=sys.stderr)
         return EXIT_USAGE
-    except search.ContradictionDetected as exc:
+    except core.ContradictionDetected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
 

@@ -10,12 +10,8 @@ return, so a slip in a span's bounds fails loudly.
 from __future__ import annotations
 
 from .conditions import nk2_parity_feasible
-from .core import MAX_ORDER, DomainError, PairSystem
+from .core import MAX_ORDER, DomainError, NotGraceful, PairSystem
 from .verify import verify_pair_system
-
-
-class NotGraceful(DomainError):
-    """nK2 has no (2,1)-hooked Skolem graceful labeling for this n."""
 
 
 class UseBaseCase(DomainError):

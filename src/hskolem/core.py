@@ -41,6 +41,25 @@ class ParseError(DomainError):
     """Malformed sequence or pair-system text."""
 
 
+# The search modes and the errors cli.main maps to exit codes live here, so
+# the CLI's parser and exit-code map need no other module; construct and
+# search re-export them.
+MODES = ("exists", "first", "count", "enumerate")
+
+
+class NotGraceful(DomainError):
+    """nK2 has no (2,1)-hooked Skolem graceful labeling for this n."""
+
+
+class BoundExceeded(DomainError):
+    """Input exceeds the exhaustive-search bound; pass force=True to override."""
+
+
+class ContradictionDetected(RuntimeError):
+    """Search found a solution where a necessary condition says none can
+    exist; signals an implementation bug."""
+
+
 class _Hook:
     __slots__ = ()
 

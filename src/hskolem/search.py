@@ -44,13 +44,16 @@ _Stop, which the engine's solve function catches.
 
 One driver, _search, runs both engines on a bit mask of the root's
 choices.  With jobs > 1 and two or more choices, each choice is one root
-task on a worker process, and the results merge in root order, so
-existence, counts, the first solution, and enumeration order are identical
-to serial execution.  Otherwise it makes the serial call: a pruned pair
-root is answered without a walk, and a graph whose count or exists memo
-root tasks would rebuild passes no choices.  In count mode nodes_expanded
-is the same for every jobs value; in exists, first and enumerate it may
-differ, because each root task stops on its own.
+task, and the results merge in root order, so existence, counts, the
+first solution, and enumeration order are identical to serial execution.
+The tasks run on worker processes, at most one per CPU this process may
+run on; when that leaves one worker, the same tasks run in this process
+with no pool, so outputs and nodes_expanded do not depend on the host.
+With jobs 1 or fewer than two choices it makes the serial call: a pruned
+pair root is answered without a walk, and a graph whose count or exists
+memo root tasks would rebuild passes no choices.  In count mode
+nodes_expanded is the same for every jobs value; in exists, first and
+enumerate it may differ, because each root task stops on its own.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ import sys
 
 from .conditions import nk2_parity_feasible, size_necessary
 from .core import (
+    MODES,
+    BoundExceeded,
+    ContradictionDetected,
     DomainError,
     Graph,
     PairSystem,
@@ -81,21 +87,11 @@ DEFAULT_SEQUENCE_BOUND = 12
 # bytes each); lookups go on, and counts and node totals stay exact.
 GRAPH_MEMO_ENTRIES = 1 << 19
 
-MODES = ("exists", "first", "count", "enumerate")
 ProcessPoolExecutor = None  # bound on first parallel use: a slow import
-
-
-class BoundExceeded(DomainError):
-    """Input exceeds the exhaustive-search bound; pass force=True to override."""
 
 
 class _Stop(Exception):
     """Raised at the leaf that brings the solution count to the stop."""
-
-
-class ContradictionDetected(RuntimeError):
-    """Search found a solution where a necessary condition says none can
-    exist; signals an implementation bug."""
 
 
 class SearchStats(_Record, frozen=False):
@@ -139,6 +135,9 @@ def _check_order(name: str, order: int, bound: int, force: bool) -> None:
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
+    # Capped at the CPUs this process may run on: os.process_cpu_count's rule.
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, tasks, len(os.sched_getaffinity(0)))
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
@@ -150,11 +149,15 @@ def _search(solve, args, root, mode, limit, jobs, wrap) -> SearchOutcome:
     if jobs > 1 and root & root - 1:  # two or more choices: one task each
         tasks = [(*args, stop, keep, 1 << i)
                  for i in range(root.bit_length()) if root >> i & 1]
-        global ProcessPoolExecutor
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(tasks))) as pool:
-            counts, parts, task_nodes = zip(*pool.map(solve, tasks))
+        workers = _worker_count(jobs, len(tasks))
+        if workers == 1:  # one usable CPU: the same tasks, in this process
+            counts, parts, task_nodes = zip(*map(solve, tasks))
+        else:
+            global ProcessPoolExecutor
+            if ProcessPoolExecutor is None:
+                from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                counts, parts, task_nodes = zip(*pool.map(solve, tasks))
         count = sum(counts)
         nodes = sum(task_nodes) - len(tasks) + 1  # every task enters the root
         sols = [sol for part in parts for sol in part][:stop]

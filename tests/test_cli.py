@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hskolem
 from hskolem import NotGraceful, cli, construct_nk2_21
 from hskolem.core import format_pairs, pair_system_from_json
 
@@ -288,7 +289,7 @@ class TestSurvey:
         assert "Traceback" not in err
 
     def test_contradiction_exits_70_after_the_earlier_rows(self, monkeypatch):
-        monkeypatch.setattr(cli.search, "nk2_parity_feasible", lambda n, k, d: n < 2)
+        monkeypatch.setattr(hskolem.search, "nk2_parity_feasible", lambda n, k, d: n < 2)
         code, out, err = run_cli("survey", "nk2", "--n-max", "4", "--k", "2",
                                  "--d", "1", "--search-up-to", "4")
         assert code == 70
@@ -611,6 +612,52 @@ class TestColdProcess:
         checked = run_fresh("-m", "hskolem.cli", "verify", "labeling",
                             "--file", "9k2.json", cwd=tmp_path)
         assert (checked.returncode, checked.stdout) == (0, "VALID\n")
+
+
+# Runs one command in a fresh interpreter; the last line of stdout lists
+# every module loaded by then.
+_MODULES_AFTER = """
+import sys
+from hskolem import cli
+code = cli.main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+_NO_CONSTRUCT_OR_VERIFY = {"hskolem.construct", "hskolem.verify"}
+_NO_SEARCH_OR_CONSTRUCT = {"hskolem.search", "hskolem.construct"}
+
+
+class TestModulesPerCommand:
+    # The parser and main need only core; each command imports what it
+    # runs, and no command at --jobs 1 loads the process pool.
+    @pytest.mark.parametrize("argv, absent", [
+        (["construct", "nk2", "--n", "9"], {"hskolem.search"}),
+        (["verify", "labeling", "--file", "6k2.json"], _NO_SEARCH_OR_CONSTRUCT),
+        (["verify", "sequence", "--kind", "skolem", "--seq", "1 1"], _NO_SEARCH_OR_CONSTRUCT),
+        (["convert", "--from", "pairs", "--to", "sequence", "--kind", "hooked", "--d", "3",
+          "--in", "1-5 2-10 3-8 4-11 6-9 7-13"], _NO_SEARCH_OR_CONSTRUCT),
+        (["search", "nk2", "--n", "6", "--k", "2", "--d", "1", "--mode", "count"],
+         _NO_CONSTRUCT_OR_VERIFY),
+        (["search", "sequence", "--kind", "skolem", "--m", "5", "--mode", "enumerate",
+          "--jobs", "1"], _NO_CONSTRUCT_OR_VERIFY),
+        (["search", "graph", "--edges", "path.edges", "--k", "1", "--d", "1",
+          "--mode", "first"], _NO_CONSTRUCT_OR_VERIFY),
+        (["survey", "nk2", "--n-max", "8", "--k", "2", "--d", "1", "--search-up-to", "6"],
+         _NO_CONSTRUCT_OR_VERIFY),
+    ], ids=["construct", "verify-labeling", "verify-sequence", "convert", "search-nk2",
+            "search-sequence", "search-graph", "survey"])
+    def test_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        (tmp_path / "6k2.json").write_text(json.dumps(
+            {"n": 6, "k": 2, "d": 1,
+             "pairs": [[1, 8], [2, 7], [3, 6], [4, 10], [5, 9], [11, 13]]}))
+        (tmp_path / "path.edges").write_text("p 4\n1 2\n2 3\n3 4\n")
+        proc = run_fresh("-c", _MODULES_AFTER, *argv, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert {"hskolem.cli", "hskolem.core"} <= loaded
+        assert not loaded & absent
+        assert not {m.split(".")[0] for m in loaded} & {"concurrent", "multiprocessing"}
 
 
 _INT = (st.integers(min_value=-2, max_value=8) | st.sampled_from([10**9, 10**20])).map(str)

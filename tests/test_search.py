@@ -587,7 +587,9 @@ class TestGraphMemo:
         assert (out.count, out.stats.nodes_expanded) == (829440, 13786267)
 
     def test_graph_without_memo_vertex_splits_roots(self, monkeypatch):
-        # In a path every vertex but the first is spanned by an edge.
+        # In a path every vertex but the first is spanned by an edge.  Two
+        # usable CPUs, so that the root tasks go to a pool on any host.
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
         path9 = Graph(9, tuple((i, i + 1) for i in range(1, 9)))
         with pytest.raises(AssertionError, match="pool started"):
@@ -673,6 +675,29 @@ class TestCountNodesAcrossJobs:
         parallel = run("count", jobs=2)
         assert ((parallel.count, parallel.stats.nodes_expanded)
                 == (serial.count, serial.stats.nodes_expanded))
+
+
+class TestOneUsableCpu:
+    # On one usable CPU the root tasks run in the calling process with no
+    # pool: the same tasks and merge as on a pool, so the same outcome.
+    # The pool path runs its tasks on threads here.
+    @pytest.mark.parametrize("mode", search.MODES)
+    @pytest.mark.parametrize("run", [
+        partial(search_nk2, 7, 2, 1),
+        partial(search_skolem, 8),
+        partial(search_graph, Graph(9, tuple((i, i + 1) for i in range(1, 9))), 1, 1),
+    ], ids=["nk2-7-2-1", "skolem-8", "path9-1-1"])
+    def test_tasks_run_in_process(self, monkeypatch, run, mode):
+        def key(out):
+            return out.exists, out.count, out.solutions, out.stats.nodes_expanded
+
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
+        pooled = key(run(mode, jobs=2))
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        assert key(run(mode, jobs=2)) == pooled
+        assert pooled[3] > 1
 
 
 def pair_trees():
@@ -803,10 +828,17 @@ class TestArguments:
             call(sys.getrecursionlimit())
 
     def test_worker_count_is_capped(self, monkeypatch):
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        # At the CPUs this process may run on, not the CPUs of the host.
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 2, 5, 7},
+                            raising=False)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
         assert search._worker_count(10**9, 7) == 4
         assert search._worker_count(10**9, 3) == 3
         assert search._worker_count(2, 7) == 2
         assert search._worker_count(10**9, 0) == 0
+        # Where sched_getaffinity does not exist: os.cpu_count, else 1.
+        monkeypatch.delattr(search.os, "sched_getaffinity")
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        assert search._worker_count(10**9, 7) == 4
         monkeypatch.setattr(search.os, "cpu_count", lambda: None)
         assert search._worker_count(10**9, 7) == 1
