@@ -50,6 +50,38 @@ def no_pool(*args, **kwargs):
     raise AssertionError("pool started")
 
 
+@pytest.fixture
+def lazy_pool(monkeypatch):
+    """Two usable CPUs and, in place of the process pool, a stand-in whose
+    map is the builtin lazy map: a root task runs only when the merge reads
+    its result, in root order.  Returns the root bit of each task run."""
+    ran = []
+
+    class LazyPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, solve, tasks):
+            def run(task):
+                ran.append(task[-1])
+                return solve(task)
+            return map(run, tasks)
+
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", LazyPool)
+    return ran
+
+
+def outcome(out):
+    return out.exists, out.count, out.solutions, out.stats.nodes_expanded
+
+
 def entries_as_ints(s):
     return tuple(0 if x is HOOK else x for x in s.entries)
 
@@ -638,22 +670,37 @@ class TestDeterminismAndParallel:
         assert [f.labels for f in a.solutions] == [f.labels for f in b.solutions]
 
 
-class TestCountNodesAcrossJobs:
-    # In count mode nodes_expanded is the whole tree for every jobs value:
-    # every root task enters the root and the parallel merge counts it once,
-    # and a pair root that fails the prune test is answered with no walk.
-    # TestGraphMemo checks the graph engine's count against its oracle for
-    # both jobs values.
-    def test_pair_instances(self):
+class TestNodesAcrossJobs:
+    # In every mode the outcome, nodes_expanded included, is the serial
+    # walk's for every jobs value: every root task enters the root and the
+    # parallel merge counts it once, stopping in the task where the serial
+    # walk stops at the node count of its leaf; a pair root that fails the
+    # prune test is answered with no walk.  TestGraphMemo checks the graph
+    # engine's count against its oracle for both jobs values.
+    @pytest.mark.parametrize("mode, limit", [
+        ("exists", None), ("first", None), ("count", None),
+        ("enumerate", None), ("enumerate", 1), ("enumerate", 3),
+    ], ids=["exists", "first", "count", "enumerate", "enumerate-1", "enumerate-3"])
+    def test_pair_instances(self, monkeypatch, mode, limit):
+        # Two usable CPUs, so that the root tasks go to a pool on any host.
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for name, run in pair_instances():
-            serial = run("count")
-            parallel = run("count", jobs=2)
-            assert ((parallel.count, parallel.stats.nodes_expanded)
-                    == (serial.count, serial.stats.nodes_expanded)), name
+            assert outcome(run(mode, limit, jobs=2)) == outcome(run(mode, limit)), name
 
     def test_pinned_trees(self):
         assert search_nk2(10, 2, 1, "count", jobs=2).stats.nodes_expanded == 227932
         assert search_graph(nk2_graph(4), 2, 1, "count", jobs=2).stats.nodes_expanded == 7781
+        skolem12 = partial(search_sequence, SequenceKind.SKOLEM, 12, 1)
+        for jobs in (1, 2):
+            assert search_nk2(10, 2, 1, "first", jobs=jobs).stats.nodes_expanded == 1495
+            assert skolem12("first", jobs=jobs).stats.nodes_expanded == 3708
+            assert skolem12("enumerate", 1000, jobs=jobs).stats.nodes_expanded == 59354
+
+    def test_no_task_runs_after_the_answer(self, lazy_pool):
+        out = search_sequence(SequenceKind.SKOLEM, 12, 1, "first", jobs=2)
+        value = out.solutions[0].entries[0]  # the root pairs position 1 with 1 + value
+        assert lazy_pool == [1 << i for i in range(value)]
+        assert out.stats.nodes_expanded == 3708
 
     def test_pruned_root_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
@@ -678,25 +725,22 @@ class TestCountNodesAcrossJobs:
 
 
 class TestOneUsableCpu:
-    # On one usable CPU the root tasks run in the calling process with no
-    # pool: the same tasks and merge as on a pool, so the same outcome.
-    # The pool path runs its tasks on threads here.
+    # On one usable CPU jobs > 1 makes the serial call and starts no pool;
+    # the pool path, run on threads here, merges to the same outcome.
     @pytest.mark.parametrize("mode", search.MODES)
     @pytest.mark.parametrize("run", [
         partial(search_nk2, 7, 2, 1),
         partial(search_skolem, 8),
         partial(search_graph, Graph(9, tuple((i, i + 1) for i in range(1, 9))), 1, 1),
     ], ids=["nk2-7-2-1", "skolem-8", "path9-1-1"])
-    def test_tasks_run_in_process(self, monkeypatch, run, mode):
-        def key(out):
-            return out.exists, out.count, out.solutions, out.stats.nodes_expanded
-
+    def test_runs_the_serial_walk(self, monkeypatch, run, mode):
+        serial = outcome(run(mode))
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
-        pooled = key(run(mode, jobs=2))
+        pooled = outcome(run(mode, jobs=2))
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
-        assert key(run(mode, jobs=2)) == pooled
+        assert outcome(run(mode, jobs=2)) == pooled == serial
         assert pooled[3] > 1
 
 
@@ -735,15 +779,16 @@ class TestPairTreeOracle:
 class TestPairWalkEntersNoPrunedState:
     # The walker applies the prune test to each child and counts a pruned
     # child without entering it.  The recursion goes through the module
-    # global, so the wrapper sees every entered state; root tasks run on
-    # threads here, so that it sees theirs too.
+    # global, so the wrapper sees every entered state; root tasks run in
+    # this process, lazily in root order, so that it sees theirs too and
+    # no task runs past the answer.
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("mode", search.MODES)
     @pytest.mark.parametrize("run", [
         partial(search_nk2, 7, 2, 1),
         partial(search_sequence, SequenceKind.SKOLEM, 8, 1),
     ], ids=["nk2-7-2-1", "skolem-8"])
-    def test_entered_states_pass_the_prune_test(self, monkeypatch, run, mode, jobs):
+    def test_entered_states_pass_the_prune_test(self, monkeypatch, lazy_pool, run, mode, jobs):
         entered = []
         walk = search._pair_walk
 
@@ -752,7 +797,6 @@ class TestPairWalkEntersNoPrunedState:
             walk(f, diffs, *rest)
 
         monkeypatch.setattr(search, "_pair_walk", record)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
         out = run(mode, jobs=jobs)
         assert [(f, diffs) for f, diffs in entered
                 if diffs.bit_length() > f.bit_length()] == []
