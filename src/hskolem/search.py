@@ -45,12 +45,12 @@ _Stop, which the engine's solve function catches.
 One driver, _search, runs both engines on a bit mask of the root's
 choices.  With two or more choices, and two or more workers allowed by
 jobs and by the CPUs this process may run on, each choice is one root
-task on a worker process.  The results merge in root order and stop in
-the task where the serial walk stops, at the node count its leaf
-recorded, so the outcome, nodes_expanded included, is the serial walk's
-for every jobs value.  Otherwise _search makes the serial call: a pruned
-pair root is answered without a walk, and a graph whose count or exists
-memo root tasks would rebuild passes no choices.
+task on a worker process.  Results merge in root order up to the task
+where the serial walk stops, re-walked in-process to the stop left when
+earlier tasks found solutions; so the outcome, nodes_expanded included,
+is the serial walk's for every jobs value.  Otherwise _search makes the
+serial call: a pruned pair root is answered without a walk, and a graph
+whose count or exists memo root tasks would rebuild passes no choices.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def _search(solve, args, root, mode, limit, jobs, wrap) -> SearchOutcome:
     """solve((*args, stop, keep, choices)) walks from the root through the
     choices, the mask root or one bit of it, and returns (solutions found,
-    kept (nodes at leaf, solution) pairs if keep, nodes), the root included."""
+    the solutions if keep, nodes), the root included."""
     stop, keep = _stop_for(mode, limit, jobs)
     workers = _worker_count(jobs, root.bit_count()) if jobs > 1 else 1
     if workers > 1:  # one task per choice, merged in root order
@@ -152,19 +152,18 @@ def _search(solve, args, root, mode, limit, jobs, wrap) -> SearchOutcome:
                  for i in range(root.bit_length()) if root >> i & 1]
         count, sols, nodes = 0, [], 1  # every task enters the root
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for found, kept, task_nodes in pool.map(solve, tasks):
-                if stop is not None and count + found >= stop:  # the serial walk stops here
-                    found = stop - count  # an exists task keeps none but stopped there
-                    task_nodes = kept[found - 1][0] if keep else task_nodes
+            for task, (found, kept, task_nodes) in zip(tasks, pool.map(solve, tasks)):
+                if stop is not None and count and count + found >= stop:  # serial walk stops here
+                    found, kept, task_nodes = solve((*args, stop - count, keep, task[-1]))
                 count += found
-                sols += kept[:found]
+                sols += kept
                 nodes += task_nodes - 1
                 if count == stop:
                     break  # closes the map: tasks not yet started are cancelled
     else:
         count, sols, nodes = solve((*args, stop, keep, root))
     if sols:  # a comprehension over none still costs a call
-        sols = [wrap(sol) for _, sol in sols]
+        sols = [wrap(sol) for sol in sols]
     return SearchOutcome(count > 0, count if mode == "count" else None, sols,
                          SearchStats(nodes))
 
@@ -180,8 +179,8 @@ def _pair_walk(f, diffs, cand, path, counter, stop) -> None:
     # f == 0 is a leaf: the free positions number twice the unused differences.
     # counter is [nodes, solutions].  path is None or a chain of (parent,
     # bit, shift) links, shift the step from a to the child's lowest free
-    # position, ending in (out, a) at the root; a leaf appends its node count
-    # and flat (a1, b1, a2, b2, ...) to out: a third of nested pairs' memory.
+    # position, ending in (out, a) at the root; a leaf appends its flat
+    # (a1, b1, a2, b2, ...) to out: a third of nested pairs' memory.
     counter[0] += 1
     if not f:
         counter[1] += 1
@@ -192,7 +191,7 @@ def _pair_walk(f, diffs, cand, path, counter, stop) -> None:
                 a -= shift
                 flat += (a + bit.bit_length(), a)
             out, a0 = path  # map, not a comprehension: no closure cells per call
-            out.append((counter[0], tuple(map((a0 - a).__add__, reversed(flat)))))
+            out.append(tuple(map((a0 - a).__add__, reversed(flat))))
         if counter[1] == stop:
             raise _Stop
         return
@@ -315,7 +314,7 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
     if v == len(labels):
         counter[1] += 1
         if out is not None:
-            out.append((counter[0], tuple(labels)))
+            out.append(tuple(labels))
         if counter[1] == stop:
             raise _Stop
         return

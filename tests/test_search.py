@@ -674,9 +674,10 @@ class TestNodesAcrossJobs:
     # In every mode the outcome, nodes_expanded included, is the serial
     # walk's for every jobs value: every root task enters the root and the
     # parallel merge counts it once, stopping in the task where the serial
-    # walk stops at the node count of its leaf; a pair root that fails the
-    # prune test is answered with no walk.  TestGraphMemo checks the graph
-    # engine's count against its oracle for both jobs values.
+    # walk stops, which it walks again to the stop left if earlier tasks
+    # found solutions; a pair root that fails the prune test is answered
+    # with no walk.  TestGraphMemo checks the graph engine's count against
+    # its oracle for both jobs values.
     @pytest.mark.parametrize("mode, limit", [
         ("exists", None), ("first", None), ("count", None),
         ("enumerate", None), ("enumerate", 1), ("enumerate", 3),
@@ -693,6 +694,8 @@ class TestNodesAcrossJobs:
         skolem12 = partial(search_sequence, SequenceKind.SKOLEM, 12, 1)
         for jobs in (1, 2):
             assert search_nk2(10, 2, 1, "first", jobs=jobs).stats.nodes_expanded == 1495
+            assert (search_nk2(10, 2, 1, "enumerate", 1000, jobs=jobs).stats.nodes_expanded
+                    == 47696)
             assert skolem12("first", jobs=jobs).stats.nodes_expanded == 3708
             assert skolem12("enumerate", 1000, jobs=jobs).stats.nodes_expanded == 59354
 
@@ -701,6 +704,31 @@ class TestNodesAcrossJobs:
         value = out.solutions[0].entries[0]  # the root pairs position 1 with 1 + value
         assert lazy_pool == [1 << i for i in range(value)]
         assert out.stats.nodes_expanded == 3708
+
+    def test_only_the_cut_task_is_walked_again(self, monkeypatch, lazy_pool):
+        # Each call as (root bit, stop); the cut task is walked again only
+        # when earlier tasks found solutions.
+        calls = []
+        solve = search._pair_solve
+
+        def record(args):
+            calls.append((args[-1], args[-3]))
+            found, kept, nodes = solve(args)
+            assert all(type(sol) is tuple and all(type(x) is int for x in sol)
+                       for sol in kept)  # flat solutions, with no node tag
+            return found, kept, nodes
+
+        monkeypatch.setattr(search, "_pair_solve", record)
+        out = search_nk2(10, 2, 1, "enumerate", 1000, jobs=2)
+        assert calls == [(2, 1000), (4, 1000), (4, 268)]  # task 1 holds 732 solutions
+        assert outcome(out) == outcome(search_nk2(10, 2, 1, "enumerate", 1000))
+        assert (len(out.solutions), out.stats.nodes_expanded) == (1000, 47696)
+        skolem12 = partial(search_sequence, SequenceKind.SKOLEM, 12, 1)
+        for run in (partial(skolem12, "first"), partial(skolem12, "enumerate", 1000),
+                    partial(search_nk2, 10, 2, 1, "exists")):
+            calls.clear()
+            run(jobs=2)
+            assert len(calls) == 1  # the cut falls in task 1, with none before it
 
     def test_pruned_root_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
