@@ -43,14 +43,14 @@ and first, the limit for enumerate, none for count) raises a private
 _Stop, which the engine's solve function catches.
 
 One driver, _search, runs both engines on a bit mask of the root's
-choices.  With two or more choices, and two or more workers allowed by
-jobs and by the CPUs this process may run on, each choice is one root
-task on a worker process.  Results merge in root order up to the task
-where the serial walk stops, re-walked in-process to the stop left when
-earlier tasks found solutions; so the outcome, nodes_expanded included,
-is the serial walk's for every jobs value.  Otherwise _search makes the
-serial call: a pruned pair root is answered without a walk, and a graph
-whose count or exists memo root tasks would rebuild passes no choices.
+choices.  With two or more choices, a stop of none or 1, and two or more
+workers allowed by jobs and by the CPUs this process may run on, each
+choice is one root task on a worker process.  Results merge whole in root
+order up to the task where the serial walk stops; so the outcome,
+nodes_expanded included, is the serial walk's for every jobs value.
+Otherwise _search makes the serial call, as for enumerate with a limit
+above 1; a pruned pair root is answered without a walk, and a graph whose
+count or exists memo root tasks would rebuild passes no choices.
 """
 
 from __future__ import annotations
@@ -141,9 +141,10 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def _search(solve, args, root, mode, limit, jobs, wrap) -> SearchOutcome:
     """solve((*args, stop, keep, choices)) walks from the root through the
     choices, the mask root or one bit of it, and returns (solutions found,
-    the solutions if keep, nodes), the root included."""
+    the solutions if keep, nodes), the root included; the pool takes it whole."""
     stop, keep = _stop_for(mode, limit, jobs)
-    workers = _worker_count(jobs, root.bit_count()) if jobs > 1 else 1
+    # A stop above 1 can cut a task after earlier tasks' solutions: walk serially.
+    workers = _worker_count(jobs, root.bit_count()) if jobs > 1 and stop in (None, 1) else 1
     if workers > 1:  # one task per choice, merged in root order
         global ProcessPoolExecutor
         if ProcessPoolExecutor is None:
@@ -152,9 +153,7 @@ def _search(solve, args, root, mode, limit, jobs, wrap) -> SearchOutcome:
                  for i in range(root.bit_length()) if root >> i & 1]
         count, sols, nodes = 0, [], 1  # every task enters the root
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for task, (found, kept, task_nodes) in zip(tasks, pool.map(solve, tasks)):
-                if stop is not None and count and count + found >= stop:  # serial walk stops here
-                    found, kept, task_nodes = solve((*args, stop - count, keep, task[-1]))
+            for found, kept, task_nodes in pool.map(solve, tasks):
                 count += found
                 sols += kept
                 nodes += task_nodes - 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import permutations
+from math import prod
 
 from hskolem.core import PairSystem, ParseError, _ascii_int, _json_int, _quote, sequence_shape
 
@@ -113,6 +114,37 @@ def pair_tree_nodes(free, diffs):
         return 1
     return 1 + sum(pair_tree_nodes(free - {a, a + e}, diffs - {e})
                    for e in diffs if a + e in free)
+
+
+def pair_partition_count(positions, diffs):
+    """Number of partitions of the nonempty position set into pairs whose
+    differences are diffs, each used once, by Godfrey's +-1 formula.  With
+    S_e(x) the sum of x_i * x_j over positions i < j with j - i = e, the
+    count is 2^-N times the sum, over x in {+1, -1}^positions, of
+    prod(x) * prod(S_e(x) for e in diffs), N = len(positions): a term
+    survives the sum iff its chosen pairs cover every position once.  x and
+    -x give the same term, so the first coordinate stays +1 and the others
+    are walked in Gray-code order; flipping x_j moves each S_e by
+    -2 * x_j * x_o for each position o at distance e from j.  It counts
+    without searching."""
+    pos, diffs = sorted(positions), sorted(diffs)
+    n = len(pos)
+    if n != 2 * len(diffs):
+        return 0
+    index = {q: i for i, q in enumerate(pos)}
+    links = [[(t, index[q + s * e]) for t, e in enumerate(diffs) for s in (1, -1)
+              if q + s * e in index] for q in pos]
+    sums = [sum(q + e in index for q in pos) for e in diffs]
+    x = [1] * n
+    sign, total = 1, prod(sums)
+    for g in range(1, 1 << (n - 1)):
+        j = (g & -g).bit_length()  # the coordinate to flip, 1..n-1
+        for t, o in links[j]:
+            sums[t] -= 2 * x[j] * x[o]
+        x[j] = -x[j]
+        sign = -sign
+        total += sign * prod(sums)
+    return 2 * total >> n
 
 
 def hooked_sequence_table(d, m):

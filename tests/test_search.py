@@ -41,6 +41,7 @@ from oracles import (
     graph_labelings_brute,
     graph_tree_nodes,
     nk2_solutions_brute,
+    pair_partition_count,
     pair_tree_nodes,
     sequence_solutions_brute,
 )
@@ -673,11 +674,12 @@ class TestDeterminismAndParallel:
 class TestNodesAcrossJobs:
     # In every mode the outcome, nodes_expanded included, is the serial
     # walk's for every jobs value: every root task enters the root and the
-    # parallel merge counts it once, stopping in the task where the serial
-    # walk stops, which it walks again to the stop left if earlier tasks
-    # found solutions; a pair root that fails the prune test is answered
-    # with no walk.  TestGraphMemo checks the graph engine's count against
-    # its oracle for both jobs values.
+    # parallel merge counts it once, taking each task whole up to the task
+    # where the serial walk stops.  Only stops of none and 1 go to the
+    # pool; enumerate with a limit above 1 makes the serial call, and a
+    # pair root that fails the prune test is answered with no walk.
+    # TestGraphMemo checks the graph engine's count against its oracle for
+    # both jobs values.
     @pytest.mark.parametrize("mode, limit", [
         ("exists", None), ("first", None), ("count", None),
         ("enumerate", None), ("enumerate", 1), ("enumerate", 3),
@@ -705,9 +707,18 @@ class TestNodesAcrossJobs:
         assert lazy_pool == [1 << i for i in range(value)]
         assert out.stats.nodes_expanded == 3708
 
-    def test_only_the_cut_task_is_walked_again(self, monkeypatch, lazy_pool):
-        # Each call as (root bit, stop); the cut task is walked again only
-        # when earlier tasks found solutions.
+    def test_a_limit_above_one_walks_serially(self, monkeypatch):
+        # Two usable CPUs, and a pool that raises if started.
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        for run in (partial(search_nk2, 10, 2, 1, "enumerate"),
+                    partial(search_sequence, SequenceKind.SKOLEM, 12, 1, "enumerate")):
+            for limit in (2, 3, 1000):
+                assert outcome(run(limit, jobs=2)) == outcome(run(limit))
+
+    def test_each_task_is_walked_once(self, monkeypatch, lazy_pool):
+        # Each call as (root bit, stop): one per task run, in root order,
+        # with the mode's own stop; no task is walked again.
         calls = []
         solve = search._pair_solve
 
@@ -718,17 +729,21 @@ class TestNodesAcrossJobs:
                        for sol in kept)  # flat solutions, with no node tag
             return found, kept, nodes
 
-        monkeypatch.setattr(search, "_pair_solve", record)
-        out = search_nk2(10, 2, 1, "enumerate", 1000, jobs=2)
-        assert calls == [(2, 1000), (4, 1000), (4, 268)]  # task 1 holds 732 solutions
-        assert outcome(out) == outcome(search_nk2(10, 2, 1, "enumerate", 1000))
-        assert (len(out.solutions), out.stats.nodes_expanded) == (1000, 47696)
+        nk2 = partial(search_nk2, 10, 2, 1)
         skolem12 = partial(search_sequence, SequenceKind.SKOLEM, 12, 1)
-        for run in (partial(skolem12, "first"), partial(skolem12, "enumerate", 1000),
-                    partial(search_nk2, 10, 2, 1, "exists")):
+        cases = [(run, mode, limit) for run in (nk2, skolem12)
+                 for mode, limit in (("first", None), ("exists", None), ("enumerate", 1))]
+        cases.append((nk2, "enumerate", None))  # no stop: every task runs
+        monkeypatch.setattr(search, "_pair_solve", record)
+        for run, mode, limit in cases:
+            serial = outcome(run(mode, limit))  # one call, on the whole root
             calls.clear()
-            run(jobs=2)
-            assert len(calls) == 1  # the cut falls in task 1, with none before it
+            lazy_pool.clear()
+            assert outcome(run(mode, limit, jobs=2)) == serial
+            stop = limit if mode == "enumerate" else 1
+            assert calls == [(bit, stop) for bit in lazy_pool]
+            assert lazy_pool == sorted(lazy_pool) and all(bit.bit_count() == 1 for bit in lazy_pool)
+        assert lazy_pool == [1 << i for i in range(1, 11)]  # the ten root tasks of nK2 (10,2,1)
 
     def test_pruned_root_starts_no_pool(self, monkeypatch):
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
@@ -802,6 +817,15 @@ class TestPairTreeOracle:
                     == pair_tree_nodes(free, diffs)), name
             checked += 1
         assert checked == 98
+
+    def test_count_is_the_pair_partition_count(self):
+        # Godfrey's formula counts the partitions with no search at all.
+        nonzero = 0
+        for name, run, free, diffs in pair_trees():
+            count = pair_partition_count(free, diffs)
+            assert run("count").count == count, name
+            nonzero += count > 0
+        assert nonzero == 30  # of the 98 instances
 
 
 class TestPairWalkEntersNoPrunedState:
