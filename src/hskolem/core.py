@@ -342,14 +342,23 @@ def format_pairs(ps: PairSystem) -> str:
 
 
 def parse_pairs(text: str) -> PairSystem:
-    """Inline pair text "a-b a-b ...", each pair smaller label first."""
-    pairs = []
-    for tok in text.split():
+    """Inline pair text "a-b a-b ...", each pair smaller label first.  A
+    token is ASCII digits, "-", ASCII digits, read as written ("01-003" is
+    1-3); tokens are split as str.split splits them, on any whitespace."""
+    import re  # here, not at the top: only pair text pays for its import
+    # Only whitespace is left once every [0-9]+-[0-9]+ token is cut out.
+    if not re.sub(r"\s*[0-9]+-[0-9]+", "", text).strip():
+        try:
+            sides = list(map(int, text.replace("-", " ").split()))
+        except ValueError:  # a side with more digits than int() will read
+            pass
+        else:
+            return PairSystem(zip(sides[::2], sides[1::2]))
+    for tok in text.split():  # some token is bad: word the first one's error
         parts = tok.split("-")
         if len(parts) != 2:
             raise ParseError(f"bad pair token {_quote(tok)}")
-        pairs.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
-    return PairSystem(tuple(pairs))
+        list(map(_ascii_int, parts))
 
 
 def load_edge_list(text: str) -> Graph:

@@ -16,6 +16,7 @@ from hskolem import (
     SequenceKind,
     ShapeMismatch,
     VertexLabeling,
+    construct_nk2_21,
     edge_target_set,
     format_pairs,
     format_sequence,
@@ -30,6 +31,7 @@ from hskolem import (
     sequence_to_pairs,
     target_label_set,
 )
+from hskolem import core
 from oracles import pair_system_from_json_per_pair, parse_pairs_per_token, position_set_message
 
 HOOKED_EXAMPLE = "4 8 5 7 4 3 6 5 3 8 7 * 6"
@@ -321,7 +323,8 @@ def _outcome(reader, text):
 
 # 4301 digits: one more than int() reads from text by default.
 TOO_LONG = "1" + "0" * 4300
-SEPARATORS = (" ", "  ", "\t", "\n", " \r\n", "\x1c", "　")
+SEPARATORS = (" ", "  ", "\t", "\n", " \r\n", "\x1c", "　", "\xa0", "\x85", "\u2028", "\x0b",
+              "\x1f")
 ODD_TOKENS = ("1-2-3", "-1-2", "1--2", "12", "1-", "-2", "-", "٤-5", "1-４",
               "1_0-20", "+1-3", "1-²", "a-b", f"{TOO_LONG}-{TOO_LONG}1",
               f"{10**4299}-{10**4299 + 1}")
@@ -378,6 +381,17 @@ class TestReadersMatchThePerTokenReaders:
             assert got == _outcome(parse_pairs_per_token, text), text
             seen.add(PairSystem if isinstance(got, PairSystem) else got[0])
         assert seen == {PairSystem, ParseError, DomainError}
+
+    def test_valid_pair_text_reads_no_token_alone(self, monkeypatch):
+        def refuse(tok):
+            raise AssertionError(f"valid pair text read token side {tok!r} alone")
+
+        cases = {"01-003\t2-5\n": PairSystem(((1, 3), (2, 5)))}
+        for ps in map(construct_nk2_21, (5, 1001)):
+            cases[format_pairs(ps)] = ps
+        monkeypatch.setattr(core, "_ascii_int", refuse)
+        for text, ps in cases.items():
+            assert parse_pairs(text) == ps
 
     def test_pair_system_from_json(self):
         seen = set()
