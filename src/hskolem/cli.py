@@ -1,14 +1,14 @@
 """Command-line surface: construct, verify, search, survey, convert.
 
 Exit codes: 0 success / verified, 1 verification failed, 2 no labeling
-exists for the requested order, 3 search bound exceeded, 64 usage error
-(a bad flag value on any subcommand), 65 unreadable, non-UTF-8 or malformed
-input, 70 internal contradiction; main alone maps errors to them.  Files
-are read as UTF-8 and parsed by core.  survey searches its rows serially
-(no --jobs), checks the bound first and prints rows as it goes, so a
-contradiction met mid-table exits 70 after the earlier rows.  The parser
-and main need only core; each command imports the modules it runs, so a
-call loads (and, with no bytecode, compiles) no other.
+exists for the requested order, 3 search bound exceeded, 64 usage error (a
+bad flag value, or an instance too deep to search), 65 unreadable, non-UTF-8
+or malformed input, 70 internal contradiction (also a construct failing its
+own certificate); main alone maps errors to them.  core parses all input text.
+survey searches its rows serially (no --jobs), checks the bound first and
+prints rows as it goes, so a contradiction met mid-table exits 70 after the
+earlier rows.  The parser and main need only core; each command imports the
+modules it runs, so a call loads (and, with no bytecode, compiles) no other.
 """
 
 from __future__ import annotations
@@ -249,10 +249,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except core.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError:  # the engines recurse once per vertex or pair
-        print("error: instance too large for the search's recursion depth",
-              file=sys.stderr)
         return EXIT_USAGE
     except core.ContradictionDetected as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ return, so a slip in a span's bounds fails loudly.
 from __future__ import annotations
 
 from .conditions import nk2_parity_feasible
-from .core import MAX_ORDER, DomainError, NotGraceful, PairSystem
+from .core import MAX_ORDER, ContradictionDetected, DomainError, NotGraceful, PairSystem
 from .verify import verify_pair_system
 
 
@@ -18,7 +18,7 @@ class UseBaseCase(DomainError):
     """The formula family does not start this low; use the base-case table."""
 
 
-class ConstructionBug(RuntimeError):
+class ConstructionBug(ContradictionDetected):
     """A constructor emitted a labeling that failed certification."""
 
 

@@ -83,6 +83,7 @@ DEFAULT_SEQUENCE_BOUND = 12
 # The graph engine's memo stops inserting at this many entries (about 130
 # bytes each); lookups go on, and counts and node totals stay exact.
 GRAPH_MEMO_ENTRIES = 1 << 19
+_TOO_DEEP = "instance too large for the search's recursion depth"
 
 ProcessPoolExecutor = None  # bound on first parallel use: a slow import
 
@@ -128,7 +129,7 @@ def _check_order(name: str, order: int, bound: int, force: bool) -> None:
     if order > bound and not force:
         raise BoundExceeded(f"{name}={order} exceeds bound {bound}")
     if order >= sys.getrecursionlimit():
-        raise DomainError("instance too large for the search's recursion depth")
+        raise DomainError(_TOO_DEEP)
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -141,26 +142,30 @@ def _worker_count(jobs: int, tasks: int) -> int:
 def _search(solve, args, root, mode, limit, jobs, wrap) -> SearchOutcome:
     """solve((*args, stop, keep, choices)) walks from the root through the
     choices, the mask root or one bit of it, and returns (solutions found,
-    the solutions if keep, nodes), the root included; the pool takes it whole."""
+    the solutions if keep, nodes), the root included; the pool takes it whole.
+    A RecursionError here or in a worker becomes _check_order's DomainError."""
     stop, keep = _stop_for(mode, limit, jobs)
     # A stop above 1 can cut a task after earlier tasks' solutions: walk serially.
     workers = _worker_count(jobs, root.bit_count()) if jobs > 1 and stop in (None, 1) else 1
-    if workers > 1:  # one task per choice, merged in root order
-        global ProcessPoolExecutor
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        tasks = [(*args, stop, keep, 1 << i)
-                 for i in range(root.bit_length()) if root >> i & 1]
-        count, sols, nodes = 0, [], 1  # every task enters the root
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for found, kept, task_nodes in pool.map(solve, tasks):
-                count += found
-                sols += kept
-                nodes += task_nodes - 1
-                if count == stop:
-                    break  # closes the map: tasks not yet started are cancelled
-    else:
-        count, sols, nodes = solve((*args, stop, keep, root))
+    try:
+        if workers > 1:  # one task per choice, merged in root order
+            global ProcessPoolExecutor
+            if ProcessPoolExecutor is None:
+                from concurrent.futures import ProcessPoolExecutor
+            tasks = [(*args, stop, keep, 1 << i)
+                     for i in range(root.bit_length()) if root >> i & 1]
+            count, sols, nodes = 0, [], 1  # every task enters the root
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for found, kept, task_nodes in pool.map(solve, tasks):
+                    count += found
+                    sols += kept
+                    nodes += task_nodes - 1
+                    if count == stop:
+                        break  # closes the map: tasks not yet started are cancelled
+        else:
+            count, sols, nodes = solve((*args, stop, keep, root))
+    except RecursionError as exc:
+        raise DomainError(_TOO_DEEP) from exc
     if sols:  # a comprehension over none still costs a call
         sols = [wrap(sol) for sol in sols]
     return SearchOutcome(count > 0, count if mode == "count" else None, sols,

@@ -2,11 +2,12 @@
 
 Checks report violations rather than raising; every violated condition is
 enumerated (capped) with a stable condition id, so reports are usable as
-golden-test text.  Only this module builds a VerifyReport.  One body
-certifies labelings, fed by two derivations of its inputs: verify_labeling
-takes a graph's labels and induced edge labels, verify_pair_system an nK2
-pair system's values and differences.  One certifier, verify_sequence,
-serves every sequence kind by its tag.
+golden-test text.  Only this module builds a VerifyReport: its violations
+alone.  One body certifies labelings, fed by two derivations of its inputs:
+verify_labeling takes a graph's labels and induced edge labels,
+verify_pair_system an nK2 pair system's values and differences.  One
+certifier, verify_sequence, serves every sequence kind by its tag; the
+(k, d)-free odd/even census is partition_census's alone.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ class PartitionCensus(_Record):
 
 
 class VerifyReport(_Record):
-    """Pass/fail certification with every violated condition enumerated."""
+    """Pass/fail certification with every violated condition enumerated,
+    up to the first MAX_VIOLATIONS."""
 
-    def __init__(self, violations: tuple[tuple[str, str], ...], census=None):
-        _set(self, "violations", violations)
-        _set(self, "census", census)
+    def __init__(self, violations: tuple[tuple[str, str], ...]):
+        _set(self, "violations", tuple(violations[:MAX_VIOLATIONS]))
 
     @property
     def valid(self) -> bool:
@@ -65,23 +66,16 @@ class VerifyReport(_Record):
         return "\n".join(f"VIOLATION {cid}: {detail}" for cid, detail in self.violations)
 
 
-def _report(violations, census=None) -> VerifyReport:
-    return VerifyReport(tuple(violations[:MAX_VIOLATIONS]), census)
-
-
-def _census(labels, edge_labels) -> PartitionCensus:
-    # An edge crosses the odd/even label classes exactly when its label is odd.
-    odd = len([x for x in labels if x & 1])
-    return PartitionCensus(odd, len(labels) - odd, len([x for x in edge_labels if x & 1]))
-
-
 def partition_census(g: Graph, f: VertexLabeling) -> PartitionCensus:
-    return _census(f.labels, induced_edge_labels(g, f))
+    # An edge crosses the odd/even label classes exactly when its label is odd.
+    odd = len([x for x in f.labels if x & 1])
+    cross = len([x for x in induced_edge_labels(g, f) if x & 1])
+    return PartitionCensus(odd, len(f.labels) - odd, cross)
 
 
 def _certify(labels, edge_labels, k: int, d: int) -> VerifyReport:
     """The one certifier body: labels against {1..p-1, p+1}, p = len(labels),
-    edge labels against the progression k, k+d, ...; then the census."""
+    edge labels against the progression k, k+d, ..."""
     p, violations = len(labels), []
     distinct, target = set(labels), target_label_set(p)
     if len(distinct) != p:
@@ -104,7 +98,7 @@ def _certify(labels, edge_labels, k: int, d: int) -> VerifyReport:
     for lab in sorted(targets - induced):
         violations.append((EDGE_LABEL_SET, f"edge label {lab} never induced"))
 
-    return _report(violations, _census(labels, edge_labels))
+    return VerifyReport(violations)
 
 
 def verify_labeling(g: Graph, f: VertexLabeling, k: int, d: int) -> VerifyReport:
@@ -158,7 +152,7 @@ def verify_sequence(s: SequenceForm) -> VerifyReport:
                 (DISTANCE, f"value {v} at positions {where[0]},{where[1]}: "
                            f"distance {where[1] - where[0]}")
             )
-    return _report(violations)
+    return VerifyReport(violations)
 
 
 def check_sum_identity(ps: PairSystem, k: int, d: int) -> VerifyReport:
@@ -184,4 +178,4 @@ def check_sum_identity(ps: PairSystem, k: int, d: int) -> VerifyReport:
         violations.append(
             (SUM_IDENTITY, f"sum of labels {sum_all} != {expected_all}")
         )
-    return _report(violations)
+    return VerifyReport(violations)

@@ -50,6 +50,13 @@ class TestConstruct:
         code, _, _ = run_cli("construct", "nk2", "--n", "two")
         assert code == 64
 
+    def test_failed_self_certificate_exits_70(self, monkeypatch):
+        monkeypatch.setattr(hskolem.construct, "verify_pair_system",
+                            lambda ps, k, d: hskolem.VerifyReport((("x", "y"),)))
+        code, out, err = run_cli("construct", "nk2", "--n", "5")
+        assert (code, out) == (70, "")
+        assert err.startswith("error: constructed labeling for n=5 failed certification")
+
 
 class TestVerify:
     def test_paper_hooked_sequence(self):
@@ -231,8 +238,8 @@ class TestSearch:
         assert err.count("\n") == 1
 
     def test_graph_near_the_recursion_limit_is_usage_error(self, tmp_path):
-        # Below the limit the search starts, and the CLI maps the
-        # RecursionError it meets to the same exit.
+        # Below the limit the search starts, runs out of stack and raises
+        # the same DomainError, which the CLI maps to the same exit.
         path = tmp_path / "deep.edges"
         path.write_text(f"p {sys.getrecursionlimit() - 1}\n")
         code, out, err = run_cli("search", "graph", "--edges", str(path),

@@ -34,10 +34,7 @@ RECORDS = [
      "entries=(2, 3, 2, 4, 3, HOOK, 4), d=2)",
      (SequenceKind.HOOKED, (2, 3, 2, 4, 3, HOOK, 4), 2)),
     (CENSUS, "PartitionCensus(odd_count=2, even_count=1, cross_edges=1)", (2, 1, 1)),
-    (VerifyReport(violations=(), census=CENSUS),
-     "VerifyReport(violations=(), census=PartitionCensus(odd_count=2, "
-     "even_count=1, cross_edges=1))",
-     ((), CENSUS)),
+    (VerifyReport(violations=()), "VerifyReport(violations=())", ((),)),
     (SearchStats(nodes_expanded=6), "SearchStats(nodes_expanded=6)", (6,)),
     (SearchOutcome(True, None, [PairSystem([(1, 3), (2, 5)])],
                    stats=SearchStats(nodes_expanded=6)),
@@ -64,7 +61,7 @@ def test_repr(record, text, values):
 
 def test_defaults_in_repr():
     assert repr(VerifyReport((("x", "y"),))) == (
-        "VerifyReport(violations=(('x', 'y'),), census=None)")
+        "VerifyReport(violations=(('x', 'y'),))")
     assert repr(SearchStats()) == "SearchStats(nodes_expanded=0)"
     assert repr(SequenceForm(SequenceKind.SKOLEM, (1, 1))) == (
         "SequenceForm(kind=<SequenceKind.SKOLEM: 'skolem'>, entries=(1, 1), d=1)")
@@ -114,7 +111,7 @@ def test_keyword_construction():
     assert Graph(p=2, edges=((1, 2),)) == Graph(2, ((1, 2),))
     assert VertexLabeling(labels=[1, 3]).labels == (1, 3)
     assert PairSystem(pairs=[(1, 3)]).pairs == ((1, 3),)
-    assert VerifyReport(violations=()).census is None
+    assert VerifyReport(violations=[("x", "y")]).violations == (("x", "y"),)
     assert SurveyRow(n=1, parity_feasible=True, exists=True).exists is True
     outcome = SearchOutcome(exists=False, count=0, solutions=[],
                             stats=SearchStats(nodes_expanded=1))

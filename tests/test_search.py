@@ -923,6 +923,12 @@ class TestArguments:
         with pytest.raises(DomainError, match="recursion depth"):
             call(sys.getrecursionlimit())
 
+    def test_a_walk_out_of_stack_below_the_limit_raises_the_same_error(self):
+        # The order passes the check, but the caller's frames and the walk's
+        # together overrun the stack: the search maps its RecursionError.
+        with pytest.raises(DomainError, match="recursion depth"):
+            search_graph(Graph(sys.getrecursionlimit() - 5, ()), 1, 1, "first", force=True)
+
     def test_worker_count_is_capped(self, monkeypatch):
         # At the CPUs this process may run on, not the CPUs of the host.
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 2, 5, 7},
