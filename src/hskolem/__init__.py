@@ -8,16 +8,14 @@ first use, so `import hskolem` loads no submodule (PEP 562)."""
 _EXPORTS = {
     "conditions": ("expected_cross_edges", "hooked_sequence_necessary",
                    "nk2_parity_feasible", "size_necessary"),
-    "construct": ("ConstructionBug", "UseBaseCase", "base_cases", "construct_nk2_21",
-                  "even_family_labels", "odd_family_labels"),
-    "core": ("HOOK", "BoundExceeded", "ContradictionDetected", "DegenerateOrder",
-             "DomainError", "Graph", "MultiplicityError", "NotGraceful", "PairSystem",
-             "ParseError", "PositionSetMismatch", "SequenceForm", "SequenceKind",
-             "ShapeMismatch", "VertexLabeling", "edge_target_set", "format_pairs",
-             "format_sequence", "induced_edge_labels", "nk2_graph", "pair_system_from_json",
-             "pair_system_labeling", "pair_system_to_json", "pairs_to_sequence",
-             "parse_pairs", "parse_sequence", "sequence_shape", "sequence_to_pairs",
-             "target_label_set"),
+    "construct": ("base_cases", "construct_nk2_21", "even_family_labels",
+                  "odd_family_labels"),
+    "core": ("HOOK", "BoundExceeded", "ContradictionDetected", "DomainError", "Graph",
+             "NotGraceful", "PairSystem", "SequenceForm", "SequenceKind", "VertexLabeling",
+             "edge_target_set", "format_pairs", "format_sequence", "induced_edge_labels",
+             "nk2_graph", "pair_system_from_json", "pair_system_labeling",
+             "pair_system_to_json", "pairs_to_sequence", "parse_pairs", "parse_sequence",
+             "sequence_shape", "sequence_to_pairs", "target_label_set"),
     "search": ("SearchOutcome", "SearchStats", "SurveyRow", "search_graph",
                "search_hooked_sequence", "search_hooked_skolem", "search_nk2",
                "search_sequence", "search_skolem", "survey_nk2"),

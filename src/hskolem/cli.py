@@ -1,14 +1,16 @@
 """Command-line surface: construct, verify, search, survey, convert.
-
 Exit codes: 0 success / verified, 1 verification failed, 2 no labeling
 exists for the requested order, 3 search bound exceeded, 64 usage error (a
 bad flag value, or an instance too deep to search), 65 unreadable, non-UTF-8
 or malformed input, 70 internal contradiction (also a construct failing its
-own certificate); main alone maps errors to them.  core parses all input text.
-survey searches its rows serially (no --jobs), checks the bound first and
-prints rows as it goes, so a contradiction met mid-table exits 70 after the
-earlier rows.  The parser and main need only core; each command imports the
-modules it runs, so a call loads (and, with no bytecode, compiles) no other.
+own certificate).
+
+The paragraph above is the --help text.  main alone maps errors to exit
+codes.  core parses all input text.  survey searches its rows serially (no
+--jobs), checks the bound first and prints rows as it goes, so a
+contradiction met mid-table exits 70 after the earlier rows.  The parser
+and main need only core; each command imports the modules it runs, so a
+call loads (and, with no bytecode, compiles) no other.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def _add_search_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hskolem", description=__doc__)
+    description = (__doc__ or "").partition("\n\n")[0]  # no docstring under -OO
+    parser = argparse.ArgumentParser(prog="hskolem", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct")

@@ -14,14 +14,6 @@ from .core import MAX_ORDER, ContradictionDetected, DomainError, NotGraceful, Pa
 from .verify import verify_pair_system
 
 
-class UseBaseCase(DomainError):
-    """The formula family does not start this low; use the base-case table."""
-
-
-class ConstructionBug(ContradictionDetected):
-    """A constructor emitted a labeling that failed certification."""
-
-
 _BASE_CASES: dict[int, tuple[tuple[int, int], ...]] = {
     1: ((1, 3),),
     2: ((1, 3), (2, 5)),
@@ -46,7 +38,7 @@ def even_family_labels(r: int) -> PairSystem:
     """Labeling of nK2 for n = 4r-2, r >= 4 (differences 2..n+1): a_i and
     b_i listed for i = 1..n, one entry or span per formula branch."""
     if r < 4:
-        raise UseBaseCase(f"even family starts at r=4, got r={r}")
+        raise DomainError(f"even family starts at r=4, got r={r}")
     n = 4 * r - 2
     a = [1, 2, *_span(1, 3, 2 * r - 2), (n + 4) // 2, (3 * n + 2) // 4,
          *_span((n - 4) // 2, 2 * r + 1, n)]
@@ -60,7 +52,7 @@ def odd_family_labels(r: int) -> PairSystem:
     """Labeling of nK2 for n = 4r-3, r >= 3 (differences 2..n+1), listed
     as in even_family_labels."""
     if r < 3:
-        raise UseBaseCase(f"odd family starts at r=3, got r={r}")
+        raise DomainError(f"odd family starts at r=3, got r={r}")
     n = 4 * r - 3
     a = [*_span(0, 1, 2 * r - 1), *_span((n - 3) // 2, 2 * r, 3 * r - 2),
          *_span((n - 1) // 2, 3 * r - 1, n)]
@@ -88,7 +80,7 @@ def construct_nk2_21(n: int) -> PairSystem:
         ps = odd_family_labels((n + 3) // 4)
     report = verify_pair_system(ps, k=2, d=1)
     if not report.valid:
-        raise ConstructionBug(
+        raise ContradictionDetected(
             f"constructed labeling for n={n} failed certification:\n{report.to_text()}"
         )
     return ps

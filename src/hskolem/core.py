@@ -18,32 +18,13 @@ MAX_ORDER = 10**6
 
 
 class DomainError(ValueError):
-    """Base class for structural errors raised by this package."""
+    """An input this package refuses: exit 64, or 65 when raised while
+    reading input."""
 
 
-class DegenerateOrder(DomainError):
-    """Hooked label set {1..p-1, p+1} is ill-defined for p < 2."""
-
-
-class ShapeMismatch(DomainError):
-    """Labeling length does not match the graph's vertex count."""
-
-
-class PositionSetMismatch(DomainError):
-    """Pair values do not form the position set required by a sequence kind."""
-
-
-class MultiplicityError(DomainError):
-    """A sequence value appears a number of times other than two."""
-
-
-class ParseError(DomainError):
-    """Malformed sequence or pair-system text."""
-
-
-# The search modes and the errors cli.main maps to exit codes live here, so
-# the CLI's parser and exit-code map need no other module; construct and
-# search re-export them.
+# The search modes and the four errors cli.main maps to exit codes live
+# here, so the CLI's parser and exit-code map need no other module;
+# construct and search re-export them.
 MODES = ("exists", "first", "count", "enumerate")
 
 
@@ -56,8 +37,8 @@ class BoundExceeded(DomainError):
 
 
 class ContradictionDetected(RuntimeError):
-    """Search found a solution where a necessary condition says none can
-    exist; signals an implementation bug."""
+    """An implementation bug: a search solution where a necessary condition
+    says none can exist, or a construct failing its own certificate."""
 
 
 class _Hook:
@@ -204,7 +185,7 @@ class SequenceForm(_Record):
 def target_label_set(p: int) -> set[int]:
     """Hooked vertex-label set {1, ..., p-1, p+1}."""
     if p < 2:
-        raise DegenerateOrder(f"hooked label set needs p >= 2, got {p}")
+        raise DomainError(f"hooked label set needs p >= 2, got {p}")
     return {*range(1, p), p + 1}
 
 
@@ -220,7 +201,7 @@ def edge_target_set(k: int, d: int, q: int) -> list[int]:
 def induced_edge_labels(g: Graph, f: VertexLabeling) -> list[int]:
     """Multiset |f(u)-f(v)| over the edges, in edge order."""
     if len(f.labels) != g.p:
-        raise ShapeMismatch(f"{len(f.labels)} labels for {g.p} vertices")
+        raise DomainError(f"{len(f.labels)} labels for {g.p} vertices")
     return [abs(f.labels[u - 1] - f.labels[v - 1]) for u, v in g.edges]
 
 
@@ -271,7 +252,7 @@ def pairs_to_sequence(ps: PairSystem, kind: SequenceKind, d: int = 1) -> Sequenc
     if min(values) < 1 or max(values) > length or hook in values:
         required, values = set(range(1, length + 1)) - {hook}, set(values)
         missing, extra = sorted(required - values), sorted(values - required)
-        raise PositionSetMismatch(
+        raise DomainError(
             f"pair values are not the sequence positions: {len(missing)} missing "
             f"{_quote(missing[:5])}, {len(extra)} extra {_quote(extra[:5])}")
     return SequenceForm(kind, _placed(ps.pairs, length), d=least)
@@ -282,7 +263,7 @@ def sequence_to_pairs(s: SequenceForm) -> PairSystem:
     pos = s.value_positions()
     for value, where in pos.items():
         if len(where) != 2:
-            raise MultiplicityError(f"value {value} appears {len(where)} times")
+            raise DomainError(f"value {value} appears {len(where)} times")
     pairs = tuple(tuple(pos[v]) for v in sorted(pos))
     return PairSystem(pairs)
 
@@ -297,11 +278,11 @@ def _quote(value) -> str:
 def _ascii_int(tok: str) -> int:
     # int() also reads "٤", "４" and "1_0", and isdigit alone accepts "²"
     if not (tok.isascii() and tok.isdigit()):
-        raise ParseError(f"bad integer {_quote(tok)}")
+        raise DomainError(f"bad integer {_quote(tok)}")
     try:
         return int(tok)
     except ValueError as exc:  # more digits than int() will read
-        raise ParseError(f"bad integer {_quote(tok)}: too many digits") from exc
+        raise DomainError(f"bad integer {_quote(tok)}: too many digits") from exc
 
 
 def format_sequence(s: SequenceForm) -> str:
@@ -317,11 +298,11 @@ def parse_sequence(
     hook, else to hooked Skolem when d is 1 and to hooked otherwise."""
     tokens = text.split()
     if not tokens:
-        raise ParseError("empty sequence text")
+        raise DomainError("empty sequence text")
     if len(tokens) == 1 and len(tokens[0]) > 1:
         compact = tokens[0]
         if "0" in compact:
-            raise ParseError(f"compact sequence {_quote(compact)} holds 0; write the hook as *")
+            raise DomainError(f"compact sequence {_quote(compact)} holds 0; write the hook as *")
         tokens = list(compact)  # one token per character, checked below
     values = [0 if tok == "*" else _ascii_int(tok) for tok in tokens]
     entries = [HOOK if value == 0 else value for value in values]
@@ -357,7 +338,7 @@ def parse_pairs(text: str) -> PairSystem:
     for tok in text.split():  # some token is bad: word the first one's error
         parts = tok.split("-")
         if len(parts) != 2:
-            raise ParseError(f"bad pair token {_quote(tok)}")
+            raise DomainError(f"bad pair token {_quote(tok)}")
         list(map(_ascii_int, parts))
 
 
@@ -366,7 +347,7 @@ def load_edge_list(text: str) -> Graph:
     ASCII digits."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("p "):
-        raise ParseError('edge-list file must start with "p <int>"')
+        raise DomainError('edge-list file must start with "p <int>"')
     try:
         _, p = lines[0].split()
         p = _ascii_int(p)
@@ -374,10 +355,10 @@ def load_edge_list(text: str) -> Graph:
         for ln in lines[1:]:
             u, v = ln.split()
             edges.append((_ascii_int(u), _ascii_int(v)))
-    except ValueError as exc:  # a ParseError from _ascii_int, or a bad split
-        raise ParseError(f"bad edge-list line: {exc}") from exc
+    except ValueError as exc:  # a DomainError from _ascii_int, or a bad split
+        raise DomainError(f"bad edge-list line: {exc}") from exc
     if p < 2:
-        raise ParseError(f"the hooked label set needs p >= 2, got p {p}")
+        raise DomainError(f"the hooked label set needs p >= 2, got p {p}")
     return Graph(p, tuple(edges))
 
 
@@ -390,7 +371,7 @@ def pair_system_to_json(ps: PairSystem, k: int, d: int) -> str:
 def _json_int(value) -> int:
     # bool is an int subclass, and int() would silently truncate a float.
     if type(value) is not int:
-        raise ParseError(f"{_quote(value)} is not an integer")
+        raise DomainError(f"{_quote(value)} is not an integer")
     return value
 
 
@@ -401,10 +382,10 @@ def pair_system_from_json(text: str) -> tuple[PairSystem, int, int]:
         n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))
         pairs = tuple((_json_int(a), _json_int(b)) for a, b in record["pairs"])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ParseError(f"bad pair-system record: {exc}") from exc
+        raise DomainError(f"bad pair-system record: {exc}") from exc
     if k < 1 or d < 1:
-        raise ParseError(f"record needs positive k and d, got k={k}, d={d}")
+        raise DomainError(f"record needs positive k and d, got k={k}, d={d}")
     ps = PairSystem(pairs)
     if ps.n != n:
-        raise ParseError(f"record says n={n} but has {ps.n} pairs")
+        raise DomainError(f"record says n={n} but has {ps.n} pairs")
     return ps, k, d

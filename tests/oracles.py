@@ -11,7 +11,7 @@ import json
 from itertools import permutations
 from math import prod
 
-from hskolem.core import PairSystem, ParseError, _ascii_int, _json_int, _quote, sequence_shape
+from hskolem.core import DomainError, PairSystem, _ascii_int, _json_int, _quote, sequence_shape
 
 
 def pairings(values):
@@ -228,7 +228,7 @@ def parse_pairs_per_token(text):
     for tok in text.split():
         parts = tok.split("-")
         if len(parts) != 2:
-            raise ParseError(f"bad pair token {_quote(tok)}")
+            raise DomainError(f"bad pair token {_quote(tok)}")
         pairs.append((_ascii_int(parts[0]), _ascii_int(parts[1])))
     return PairSystem(tuple(pairs))
 
@@ -239,17 +239,17 @@ def pair_system_from_json_per_pair(text):
         n, k, d = (_json_int(record[key]) for key in ("n", "k", "d"))
         pairs = tuple((_json_int(a), _json_int(b)) for a, b in record["pairs"])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ParseError(f"bad pair-system record: {exc}") from exc
+        raise DomainError(f"bad pair-system record: {exc}") from exc
     if k < 1 or d < 1:
-        raise ParseError(f"record needs positive k and d, got k={k}, d={d}")
+        raise DomainError(f"record needs positive k and d, got k={k}, d={d}")
     ps = PairSystem(pairs)
     if ps.n != n:
-        raise ParseError(f"record says n={n} but has {ps.n} pairs")
+        raise DomainError(f"record says n={n} but has {ps.n} pairs")
     return ps, k, d
 
 
 def position_set_message(ps, kind, d=1):
-    """The PositionSetMismatch text of pairs_to_sequence, from a comparison
+    """The position-set error text of pairs_to_sequence, from a comparison
     of the value set with the position set; None when the two agree."""
     length, hook, _ = sequence_shape(kind, ps.n, d)
     required, values = set(range(1, length + 1)) - {hook}, set(ps.values())

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hskolem
-from hskolem import NotGraceful, cli, construct_nk2_21
+from hskolem import (BoundExceeded, ContradictionDetected, DomainError, NotGraceful, cli,
+                     construct_nk2_21)
 from hskolem.core import format_pairs, pair_system_from_json
 
 
@@ -429,6 +431,35 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _, _ = run_cli("search", "nk2", "--n", "2")
         assert code == 64
+
+    def test_help_prints_user_text_only(self):
+        code, out, _ = run_cli("--help")
+        assert code == 0
+        assert {"0", "1", "2", "3", "64", "65", "70"} <= set(re.findall(r"\b\d+\b", out))
+        words = " ".join(out.split())  # as argparse wrapped it, on one line
+        assert "main alone" not in words and "compiles" not in words
+
+    def test_one_public_exception_per_exit_code(self, monkeypatch):
+        public = {getattr(hskolem, name) for name in hskolem.__all__}
+        errors = {obj for obj in public if isinstance(obj, type) and issubclass(obj, Exception)}
+        codes = {DomainError: 64, NotGraceful: 2, BoundExceeded: 3, ContradictionDetected: 70}
+        assert errors == set(codes)
+
+        for error, want in codes.items():
+            def command(args):
+                raise error("the message")
+
+            monkeypatch.setitem(cli._DISPATCH, "construct", command)
+            code, out, err = run_cli("construct", "nk2", "--n", "1")
+            assert (code, out) == (want, ""), error
+            assert "the message" in err
+
+        def read(text):  # a reader refusing its input
+            raise DomainError(text)
+
+        monkeypatch.setitem(cli._DISPATCH, "construct",
+                            lambda args: cli._parse(read, "the message"))
+        assert run_cli("construct", "nk2", "--n", "1") == (65, "", "error: the message\n")
 
 
 _HUGE = "x" * 100_000

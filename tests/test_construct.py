@@ -2,10 +2,10 @@ import pytest
 
 from hskolem import construct
 from hskolem import (
-    ConstructionBug,
+    ContradictionDetected,
+    DomainError,
     NotGraceful,
     PairSystem,
-    UseBaseCase,
     base_cases,
     construct_nk2_21,
     even_family_labels,
@@ -59,7 +59,7 @@ class TestEvenFamily:
         assert sorted(even_family_labels(4).differences()) == list(range(2, 16))
 
     def test_starts_at_r4(self):
-        with pytest.raises(UseBaseCase):
+        with pytest.raises(DomainError, match="even family starts at r=4, got r=3"):
             even_family_labels(3)
 
     def test_raw_orientation(self):
@@ -82,7 +82,7 @@ class TestOddFamily:
         assert values == list(range(1, 18)) + [19]
 
     def test_starts_at_r3(self):
-        with pytest.raises(UseBaseCase):
+        with pytest.raises(DomainError, match="odd family starts at r=3, got r=2"):
             odd_family_labels(2)
 
     def test_raw_orientation(self):
@@ -108,7 +108,7 @@ class TestConstruct:
 
     def test_n10_comes_from_table_not_family(self):
         assert construct_nk2_21(10) == base_cases()[10]
-        with pytest.raises(UseBaseCase):
+        with pytest.raises(DomainError, match="even family starts at r=4, got r=3"):
             even_family_labels(3)
 
     def test_certification_sweep(self):
@@ -145,7 +145,7 @@ class TestDamagedFamilyOutput:
             return PairSystem(((a1, b2), (a2, b1), *rest))
 
         monkeypatch.setattr(construct, generator, damaged)
-        with pytest.raises(ConstructionBug, match=f"n={n} failed certification:\nVIOLATION"):
+        with pytest.raises(ContradictionDetected, match=f"n={n} failed certification:\nVIOLATION"):
             construct_nk2_21(n)
 
 

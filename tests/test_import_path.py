@@ -45,13 +45,13 @@ def test_package_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", _AFTER_IMPORT], capture_output=True,
                           text=True, cwd=SRC, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "hskolem\n61\n"  # 56 exports and 5 submodules
+    assert proc.stdout == "hskolem\n54\n"  # 49 exports and 5 submodules
 
 
 def test_every_export_is_its_home_modules_object():
     modules = [importlib.import_module(f"hskolem.{name}")
                for name in ("conditions", "construct", "core", "search", "verify")]
-    assert len(set(hskolem.__all__)) == 56
+    assert len(set(hskolem.__all__)) == 49
     for name in hskolem.__all__:
         homes = [vars(module)[name] for module in modules if name in vars(module)]
         assert homes and all(value is getattr(hskolem, name) for value in homes), name
