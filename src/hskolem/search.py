@@ -20,7 +20,10 @@ highest unused difference exceeds its span, diffs.bit_length() >
 f.bit_length(), is pruned: its parent tests the child and never enters
 it.  One walker serves all four modes.  Only first and enumerate keep a
 trail, a chain of (bit, shift) links that each leaf turns back into its
-pairs.
+pairs.  A count of MERGED_COUNT_PAIRS (9) pairs or more takes the same
+steps one depth at a time, expanding each distinct state once for all the
+paths that reach it; past MEMO_ENTRIES states in the depth being built, a
+new state is walked at once, so that cap bounds the memory.
 
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
@@ -35,8 +38,9 @@ alone, so the engine memoizes its node and solution counts.
 
 Both engines count and stop alike.  Every state reached counts once in
 nodes_expanded: an entered state on entry, leaves included, and a pruned
-pair state by its parent.  A memo hit counts its cached subtree, so the
-figure is the size of the plain tree however much work the memo saves.
+pair state by its parent.  A memo hit counts its cached subtree, and a
+merged pair state counts once per path that reaches it, so the figure is
+the size of the plain tree however much work the memo or the merge saves.
 Every root task enters the root, and the parallel merge counts it once.
 The leaf that brings the solution count to the mode's stop (1 for exists
 and first, the limit for enumerate, none for count) raises a private
@@ -49,14 +53,17 @@ choice is one root task on a worker process.  Results merge whole in root
 order up to the task where the serial walk stops; so the outcome,
 nodes_expanded included, is the serial walk's for every jobs value.
 Otherwise _search makes the serial call, as for enumerate with a limit
-above 1; a pruned pair root is answered without a walk, and a graph whose
-count or exists memo root tasks would rebuild passes no choices.
+above 1 and for a merged pair count, whose root tasks would merge states
+only within themselves; a pruned pair root is answered without a walk, and
+a graph whose count or exists memo root tasks would rebuild passes no
+choices.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from collections import defaultdict
 
 from .conditions import nk2_parity_feasible, size_necessary
 from .core import (
@@ -80,9 +87,11 @@ from .core import (
 DEFAULT_NK2_BOUND = 10
 DEFAULT_GRAPH_BOUND = 16
 DEFAULT_SEQUENCE_BOUND = 12
-# The graph engine's memo stops inserting at this many entries (about 130
-# bytes each); lookups go on, and counts and node totals stay exact.
-GRAPH_MEMO_ENTRIES = 1 << 19
+# The graph memo (about 130 bytes an entry) and a merged pair count's depth
+# being built (about 72 bytes a state; two depths live at once) stop
+# inserting at this many entries; lookups go on, and results stay exact.
+MEMO_ENTRIES = 1 << 19
+MERGED_COUNT_PAIRS = 9  # a pair count with this many pairs or more merges states
 _TOO_DEEP = "instance too large for the search's recursion depth"
 
 ProcessPoolExecutor = None  # bound on first parallel use: a slow import
@@ -223,12 +232,53 @@ def _pair_solve(args):
     return counter[1], out, counter[0]
 
 
+def _pair_count(args):
+    # The walk's count, one depth at a time: level maps diffs to {f: ways},
+    # ways the number of root paths that reach the state (f, diffs), which
+    # is expanded once and counts ways times.  Always the whole root.
+    f, diffs = args[:2]
+    nodes = sols = 0
+    level = {diffs: {f: 1}}
+    while level:
+        nxt, held = defaultdict(dict), 0
+        for diffs, row in level.items():
+            for f, ways in row.items():
+                nodes += ways
+                if not f:
+                    sols += ways
+                cand = f & diffs
+                while cand:  # the walker's candidate, shift and prune steps
+                    bit = cand & -cand
+                    cand ^= bit
+                    g = f ^ bit
+                    g >>= (g & -g).bit_length()
+                    rest = diffs ^ bit
+                    if rest.bit_length() > g.bit_length():
+                        nodes += ways
+                        continue
+                    to = nxt[rest]
+                    if g in to:
+                        to[g] += ways
+                    elif held < MEMO_ENTRIES:
+                        to[g] = ways
+                        held += 1
+                    else:  # the level is full: walk the new state at once
+                        found, _, walked = _pair_solve((g, rest, 0, None, False, g & rest))
+                        nodes += ways * walked
+                        sols += ways * found
+        level = nxt
+    return sols, [], nodes
+
+
 def _pair_search(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
     """Search from absolute masks (bit r: position or difference r)."""
     shift = (free & -free).bit_length()
     f, diffs = free >> shift, diffs >> 1
     if diffs.bit_length() > f.bit_length():  # the prune test: the root is the one node
         return _search(lambda args: (0, [], 1), (), 0, mode, limit, jobs, wrap)
+    if mode == "count" and diffs.bit_count() >= MERGED_COUNT_PAIRS:
+        # One serial call; min keeps a bad jobs value for _stop_for to refuse.
+        return _search(_pair_count, (f, diffs), f & diffs, mode, limit, min(jobs, 1), wrap)
     return _search(_pair_solve, (f, diffs, shift - 1), f & diffs, mode, limit, jobs, wrap)
 
 
@@ -342,7 +392,7 @@ def _graph_rec(v, free, unused, rev, labels, prev, w, out, stop, counter, memos)
             continue
         _graph_rec(v + 1, free ^ bit, unused ^ used, rev ^ rused,
                    labels, prev, w, out, stop, counter, memos)
-    if memo is not None and len(memo) < GRAPH_MEMO_ENTRIES:
+    if memo is not None and len(memo) < MEMO_ENTRIES:
         memo[key] = (counter[0] - nodes0, counter[1] - sols0)
 
 

@@ -168,6 +168,7 @@ class TestSearch:
         ("nk2", "--n", "5", "--k", "2", "--d", "1", "--mode", "enumerate",
          "--limit", "-1"),
         ("nk2", "--n", "5", "--k", "2", "--d", "1", "--jobs", "0"),
+        ("sequence", "--kind", "skolem", "--m", "9", "--mode", "count", "--jobs", "-1"),
     ])
     def test_bad_search_values_are_usage_errors(self, argv):
         code, out, err = run_cli("search", *argv)

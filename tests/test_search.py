@@ -595,7 +595,7 @@ class TestGraphMemo:
         found = [(run, search_graph(*run, "exists")) for run in runs]
         found = [(run, out.stats.nodes_expanded) for run, out in found if out.exists]
         assert len(found) == 53
-        monkeypatch.setattr(search, "GRAPH_MEMO_ENTRIES", 0)
+        monkeypatch.setattr(search, "MEMO_ENTRIES", 0)
         for run, nodes in found:
             assert search_graph(*run, "exists").stats.nodes_expanded == nodes, run
 
@@ -609,7 +609,7 @@ class TestGraphMemo:
             return out.count, out.stats.nodes_expanded
 
         full = [key(search_graph(g, k, d, "count")) for g, k, d in runs]
-        monkeypatch.setattr(search, "GRAPH_MEMO_ENTRIES", cap)
+        monkeypatch.setattr(search, "MEMO_ENTRIES", cap)
         assert [key(search_graph(g, k, d, "count")) for g, k, d in runs] == full
         assert full == [(23040, 290607), (0, 1244567)]
 
@@ -826,6 +826,53 @@ class TestPairTreeOracle:
             assert run("count").count == count, name
             nonzero += count > 0
         assert nonzero == 30  # of the 98 instances
+
+
+class TestMergedCount:
+    # A count of MERGED_COUNT_PAIRS pairs or more expands each distinct
+    # state once, one depth at a time, and makes one serial call at every
+    # jobs value; its count and nodes_expanded are the plain tree's.
+    @pytest.mark.parametrize("cap", [search.MEMO_ENTRIES, 3, 100],
+                             ids=["uncapped", "cap-3", "cap-100"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pair_trees(self, monkeypatch, jobs, cap):
+        # Every instance merges, with two usable CPUs and a pool that raises
+        # if started.  A full level walks each new state at once; at a cap
+        # of 100 some such states are reached by more than one path.
+        walked = []
+        walk = search._pair_walk
+
+        def record(*args):
+            walked.append(args[:2])
+            walk(*args)
+
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(search, "MERGED_COUNT_PAIRS", 1)
+        monkeypatch.setattr(search, "MEMO_ENTRIES", cap)
+        monkeypatch.setattr(search, "_pair_walk", record)
+        for name, run, free, diffs in pair_trees():
+            out = run("count", jobs=jobs)
+            assert ((out.count, out.stats.nodes_expanded)
+                    == (pair_partition_count(free, diffs), pair_tree_nodes(free, diffs))), name
+        assert bool(walked) == (cap in (3, 100))
+
+    def test_nk2_10_merges_without_the_walker(self, monkeypatch):
+        monkeypatch.setattr(search, "_pair_walk", no_pool)
+        for jobs in (1, 2):
+            out = search_nk2(10, 2, 1, "count", jobs=jobs)
+            assert (out.count, out.stats.nodes_expanded) == (6824, 227932)
+
+    def test_memory_peak_nk2_10(self):
+        # 1.77 MB measured with Python 3.11 and 3.13: about 72 bytes a state.
+        tracemalloc.start()
+        try:
+            out = search_nk2(10, 2, 1, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.count == 6824
+        assert peak < 2 * 1024 * 1024
 
 
 class TestPairWalkEntersNoPrunedState:
