@@ -20,7 +20,8 @@ highest unused difference exceeds its span, diffs.bit_length() >
 f.bit_length(), is pruned: its parent tests the child and never enters
 it.  One walker serves all four modes.  Only first and enumerate keep a
 trail, a chain of (bit, shift) links that each leaf turns back into its
-pairs.  A count of MERGED_COUNT_PAIRS (9) pairs or more takes the same
+pairs.  A call of MERGED_COUNT_PAIRS (9) pairs or more that walks the whole
+tree, a count or one that Skolem's parity rule refutes, takes the same
 steps one depth at a time, expanding each distinct state once for all the
 paths that reach it; past MEMO_ENTRIES states in the depth being built, a
 new state is walked at once, so that cap bounds the memory.
@@ -53,7 +54,7 @@ choice is one root task on a worker process.  Results merge whole in root
 order up to the task where the serial walk stops; so the outcome,
 nodes_expanded included, is the serial walk's for every jobs value.
 Otherwise _search makes the serial call, as for enumerate with a limit
-above 1 and for a merged pair count, whose root tasks would merge states
+above 1 and for a merged pair walk, whose root tasks would merge states
 only within themselves; a pruned pair root is answered without a walk, and
 a graph whose count or exists memo root tasks would rebuild passes no
 choices.
@@ -87,11 +88,11 @@ from .core import (
 DEFAULT_NK2_BOUND = 10
 DEFAULT_GRAPH_BOUND = 16
 DEFAULT_SEQUENCE_BOUND = 12
-# The graph memo (about 130 bytes an entry) and a merged pair count's depth
+# The graph memo (about 130 bytes an entry) and a merged pair walk's depth
 # being built (about 72 bytes a state; two depths live at once) stop
 # inserting at this many entries; lookups go on, and results stay exact.
 MEMO_ENTRIES = 1 << 19
-MERGED_COUNT_PAIRS = 9  # a pair count with this many pairs or more merges states
+MERGED_COUNT_PAIRS = 9  # a whole-tree pair walk with this many pairs or more merges states
 _TOO_DEEP = "instance too large for the search's recursion depth"
 
 ProcessPoolExecutor = None  # bound on first parallel use: a slow import
@@ -276,10 +277,24 @@ def _pair_search(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
     f, diffs = free >> shift, diffs >> 1
     if diffs.bit_length() > f.bit_length():  # the prune test: the root is the one node
         return _search(lambda args: (0, [], 1), (), 0, mode, limit, jobs, wrap)
-    if mode == "count" and diffs.bit_count() >= MERGED_COUNT_PAIRS:
+    big = diffs.bit_count() >= MERGED_COUNT_PAIRS  # tested first: small calls skip parity
+    if big and (mode == "count" or _parity_refutes(free, diffs)):
         # One serial call; min keeps a bad jobs value for _stop_for to refuse.
-        return _search(_pair_count, (f, diffs), f & diffs, mode, limit, min(jobs, 1), wrap)
+        out = _search(_pair_count, (f, diffs), f & diffs, mode, limit, min(jobs, 1), wrap)
+        if out.exists and mode != "count":
+            raise ContradictionDetected("search found a partition that the parity rule refutes")
+        return out
     return _search(_pair_solve, (f, diffs, shift - 1), f & diffs, mode, limit, jobs, wrap)
+
+
+def _parity_refutes(free, diffs) -> bool:
+    # Skolem's parity rule: a pair (a, a + r) sums to r mod 2, so a partition
+    # needs an even number of odd positions and odd differences together.
+    # It picks the route only: _pair_search raises if a refuted walk finds
+    # a solution.  free is absolute and diffs shifted: bit 2i of free >> 1
+    # and of diffs is position or difference 2i + 1.
+    even_bits = ((1 << 2 * free.bit_length()) - 1) // 3
+    return bool(((free >> 1 ^ diffs) & even_bits).bit_count() & 1)
 
 
 def search_nk2(

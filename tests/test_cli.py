@@ -169,6 +169,7 @@ class TestSearch:
          "--limit", "-1"),
         ("nk2", "--n", "5", "--k", "2", "--d", "1", "--jobs", "0"),
         ("sequence", "--kind", "skolem", "--m", "9", "--mode", "count", "--jobs", "-1"),
+        ("sequence", "--kind", "skolem", "--m", "10", "--mode", "exists", "--jobs", "-1"),
     ])
     def test_bad_search_values_are_usage_errors(self, argv):
         code, out, err = run_cli("search", *argv)

@@ -13,6 +13,7 @@ import pytest
 from hskolem import (
     HOOK,
     BoundExceeded,
+    ContradictionDetected,
     DomainError,
     Graph,
     PairSystem,
@@ -873,6 +874,53 @@ class TestMergedCount:
             tracemalloc.stop()
         assert out.count == 6824
         assert peak < 2 * 1024 * 1024
+
+
+def parity_refuted(free, diffs):
+    # The package's rule on its masks: free absolute, diffs shifted by one.
+    return search._parity_refutes(sum(1 << p for p in free), sum(1 << e - 1 for e in diffs))
+
+
+class TestParityRefutedWalk:
+    # An exists, first or enumerate call of MERGED_COUNT_PAIRS pairs or
+    # more that Skolem's parity rule refutes has no solution to stop at, so
+    # it walks the merged tree of a count: one serial call at every jobs
+    # value, with the plain walk's outcome.
+    def test_refutes_no_instance_with_a_solution(self):
+        refuted = 0
+        for name, run, free, diffs in pair_trees():
+            if parity_refuted(free, diffs):
+                assert pair_partition_count(free, diffs) == 0, name
+                refuted += 1
+            if name.startswith("nk2"):
+                n, k, d = map(int, name.split()[1:])
+                assert parity_refuted(free, diffs) != nk2_parity_feasible(n, k, d), name
+        assert refuted == 51  # of the 98 instances, 68 of them without a solution
+
+    @pytest.mark.parametrize("mode, limit", [("exists", None), ("first", None), ("enumerate", 3)],
+                             ids=["exists", "first", "enumerate-3"])
+    def test_merged_walk_is_the_plain_walk(self, monkeypatch, mode, limit):
+        refuted = [run for _, run, free, diffs in pair_trees() if parity_refuted(free, diffs)]
+        monkeypatch.setattr(search, "MERGED_COUNT_PAIRS", 10**9)
+        plain = [outcome(run(mode, limit)) for run in refuted]
+        # Every refuted instance merges, with two usable CPUs and a pool and
+        # a walker that raise if started.
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(search, "MERGED_COUNT_PAIRS", 1)
+        monkeypatch.setattr(search, "_pair_walk", no_pool)
+        for jobs in (1, 2):
+            assert [outcome(run(mode, limit, jobs=jobs)) for run in refuted] == plain
+        assert not any(out[0] for out in plain) and max(out[3] for out in plain) > 1
+
+    @pytest.mark.parametrize("mode", ["exists", "first", "enumerate"])
+    def test_a_refuted_solution_raises(self, monkeypatch, mode):
+        # The engine, not the rule, has the last word: nK2 (9,2,1) has
+        # labelings, so a rule that refutes it is caught, never answered "none".
+        monkeypatch.setattr(search, "_parity_refutes", lambda free, diffs: True)
+        with pytest.raises(ContradictionDetected, match="parity rule"):
+            search_nk2(9, 2, 1, mode)
+        assert search_nk2(9, 2, 1, "count").count > 0  # a count never asks the rule
 
 
 class TestPairWalkEntersNoPrunedState:
