@@ -23,8 +23,9 @@ trail, a chain of (bit, shift) links that each leaf turns back into its
 pairs.  A call of MERGED_COUNT_PAIRS (9) pairs or more that walks the whole
 tree, a count or one that Skolem's parity rule refutes, takes the same
 steps one depth at a time, expanding each distinct state once for all the
-paths that reach it; past MEMO_ENTRIES states in the depth being built, a
-new state is walked at once, so that cap bounds the memory.
+paths that reach it, one block per row (the states that share diffs) and
+candidate; past MEMO_ENTRIES states in the depth being built, a new state
+is walked at once, so that cap bounds the memory.
 
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import defaultdict
 
 from .conditions import nk2_parity_feasible, size_necessary
 from .core import (
@@ -234,39 +234,50 @@ def _pair_solve(args):
 
 
 def _pair_count(args):
-    # The walk's count, one depth at a time: level maps diffs to {f: ways},
-    # ways the number of root paths that reach the state (f, diffs), which
-    # is expanded once and counts ways times.  Always the whole root.
+    # The walk's count from the whole root, one depth at a time: level maps
+    # diffs to a row {f: ways}, ways the number of root paths that reach the
+    # state (f, diffs), which is expanded once and counts ways times.  Each
+    # candidate bit of a row's diffs is one block: rest, the target row and
+    # the prune threshold low are fixed, and the block sweeps the row's
+    # states with that bit free.  A child g is pruned exactly when g < low,
+    # the walker's rest.bit_length() > g.bit_length().  A block that cannot
+    # fill the depth adds without testing the cap.  No row is kept empty, so
+    # the leaf row diffs == 0 holds f == 0 alone.
     f, diffs = args[:2]
     nodes = sols = 0
     level = {diffs: {f: 1}}
     while level:
-        nxt, held = defaultdict(dict), 0
+        nxt, held = {}, 0
         for diffs, row in level.items():
-            for f, ways in row.items():
-                nodes += ways
-                if not f:
-                    sols += ways
-                cand = f & diffs
-                while cand:  # the walker's candidate, shift and prune steps
-                    bit = cand & -cand
-                    cand ^= bit
-                    g = f ^ bit
-                    g >>= (g & -g).bit_length()
-                    rest = diffs ^ bit
-                    if rest.bit_length() > g.bit_length():
-                        nodes += ways
+            nodes += sum(row.values())
+            if not diffs:
+                sols += row[0]
+                continue
+            cand = diffs
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                rest = diffs ^ bit
+                low = (1 << rest.bit_length()) >> 1
+                to = nxt.get(rest) or {}
+                held -= len(to)  # the depth holds held + len(to) new states
+                fits = held + len(to) + len(row) <= MEMO_ENTRIES
+                for f, ways in row.items():
+                    if not f & bit:
                         continue
-                    to = nxt[rest]
-                    if g in to:
-                        to[g] += ways
-                    elif held < MEMO_ENTRIES:
-                        to[g] = ways
-                        held += 1
-                    else:  # the level is full: walk the new state at once
+                    g = f ^ bit  # the walker's shift and prune steps
+                    g >>= (g & -g).bit_length()
+                    if g < low:
+                        nodes += ways
+                    elif fits or g in to or held + len(to) < MEMO_ENTRIES:
+                        to[g] = to.get(g, 0) + ways
+                    else:  # the depth is full: walk the new state at once
                         found, _, walked = _pair_solve((g, rest, 0, None, False, g & rest))
                         nodes += ways * walked
                         sols += ways * found
+                held += len(to)
+                if to:
+                    nxt[rest] = to
         level = nxt
     return sols, [], nodes
 

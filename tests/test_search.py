@@ -865,7 +865,7 @@ class TestMergedCount:
             assert (out.count, out.stats.nodes_expanded) == (6824, 227932)
 
     def test_memory_peak_nk2_10(self):
-        # 1.77 MB measured with Python 3.11 and 3.13: about 72 bytes a state.
+        # 1.77 MB measured with Python 3.11: about 72 bytes a state.
         tracemalloc.start()
         try:
             out = search_nk2(10, 2, 1, "count")
@@ -874,6 +874,35 @@ class TestMergedCount:
             tracemalloc.stop()
         assert out.count == 6824
         assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("run", [
+        partial(search_nk2, 9, 1, 1), partial(search_nk2, 9, 3, 1),
+        partial(search_nk2, 10, 2, 1), partial(search_nk2, 10, 1, 2),
+        partial(search_sequence, SequenceKind.SKOLEM, 9, 1),
+        partial(search_sequence, SequenceKind.SKOLEM, 10, 1),
+        partial(search_sequence, SequenceKind.HOOKED_SKOLEM, 9, 1),
+        partial(search_sequence, SequenceKind.HOOKED, 10, 2),
+        partial(search_sequence, SequenceKind.HOOKED, 9, 3),
+    ], ids=["nk2-9-1-1", "nk2-9-3-1", "nk2-10-2-1", "nk2-10-1-2", "skolem-9",
+            "skolem-10", "hooked_skolem-9", "hooked-2-10", "hooked-3-9"])
+    def test_shipped_threshold_is_the_plain_walk(self, monkeypatch, run):
+        # Counts at the shipped MERGED_COUNT_PAIRS, whose depths hold rows of
+        # many states, and the refuted walks among them: every instance here
+        # without a solution is one the parity rule refutes.  A cap of 1000
+        # states fills the larger depths, so that the walk-at-once branch
+        # runs inside wide blocks, on states that many paths reach.
+        modes = [("count", None), ("exists", None), ("first", None), ("enumerate", 3)]
+        shipped = search.MERGED_COUNT_PAIRS
+        monkeypatch.setattr(search, "MERGED_COUNT_PAIRS", 10**9)
+        plain = [outcome(run(mode, limit)) for mode, limit in modes]
+        monkeypatch.setattr(search, "MERGED_COUNT_PAIRS", shipped)
+        merged = []
+        count = search._pair_count
+        monkeypatch.setattr(search, "_pair_count", lambda args: merged.append(args) or count(args))
+        assert [outcome(run(mode, limit)) for mode, limit in modes] == plain
+        assert len(merged) == (1 if plain[1][0] else 4)
+        monkeypatch.setattr(search, "MEMO_ENTRIES", 1000)
+        assert outcome(run("count")) == plain[0]
 
 
 def parity_refuted(free, diffs):
