@@ -24,8 +24,9 @@ pairs.  A call of MERGED_COUNT_PAIRS (9) pairs or more that walks the whole
 tree, a count or one that Skolem's parity rule refutes, takes the same
 steps one depth at a time, expanding each distinct state once for all the
 paths that reach it, one block per row (the states that share diffs) and
-candidate; past MEMO_ENTRIES states in the depth being built, a new state
-is walked at once, so that cap bounds the memory.
+candidate, and each child value's shift once per depth; past MEMO_ENTRIES
+states in the depth being built, a new state is walked at once, so that
+cap bounds the memory, tested only in a depth that can make that many.
 
 A second engine labels the vertices of a general graph in order 1..p on a
 bitmask state of its own: free labels, unused target differences, and their
@@ -89,8 +90,9 @@ DEFAULT_NK2_BOUND = 10
 DEFAULT_GRAPH_BOUND = 16
 DEFAULT_SEQUENCE_BOUND = 12
 # The graph memo (about 130 bytes an entry) and a merged pair walk's depth
-# being built (about 72 bytes a state; two depths live at once) stop
-# inserting at this many entries; lookups go on, and results stay exact.
+# being built with its child map (about 41-46 bytes a state; two depths
+# live at once) stop inserting at this many entries; lookups go on, and
+# results stay exact.
 MEMO_ENTRIES = 1 << 19
 MERGED_COUNT_PAIRS = 9  # a whole-tree pair walk with this many pairs or more merges states
 _TOO_DEEP = "instance too large for the search's recursion depth"
@@ -240,14 +242,17 @@ def _pair_count(args):
     # candidate bit of a row's diffs is one block: rest, the target row and
     # the prune threshold low are fixed, and the block sweeps the row's
     # states with that bit free.  A child g is pruned exactly when g < low,
-    # the walker's rest.bit_length() > g.bit_length().  A block that cannot
-    # fill the depth adds without testing the cap.  No row is kept empty, so
-    # the leaf row diffs == 0 holds f == 0 alone.
+    # the walker's rest.bit_length() > g.bit_length().  norm maps x = f ^ bit
+    # to its child for one depth (x has 2j - 2 bits at j unused differences),
+    # so the shift runs once per x and the next rows share its ints.  A depth
+    # of at most MEMO_ENTRIES children (free), else a block that cannot fill
+    # it, skips the cap test.  No row is kept empty: the leaf row holds f == 0.
     f, diffs = args[:2]
     nodes = sols = 0
     level = {diffs: {f: 1}}
     while level:
-        nxt, held = {}, 0
+        nxt, held, norm = {}, 0, {}
+        fits = free = sum(len(row) * d.bit_count() for d, row in level.items()) <= MEMO_ENTRIES
         for diffs, row in level.items():
             nodes += sum(row.values())
             if not diffs:
@@ -260,13 +265,18 @@ def _pair_count(args):
                 rest = diffs ^ bit
                 low = (1 << rest.bit_length()) >> 1
                 to = nxt.get(rest) or {}
-                held -= len(to)  # the depth holds held + len(to) new states
-                fits = held + len(to) + len(row) <= MEMO_ENTRIES
+                if not free:  # the depth holds held + len(to) new states
+                    held -= len(to)
+                    fits = held + len(to) + len(row) <= MEMO_ENTRIES
                 for f, ways in row.items():
                     if not f & bit:
                         continue
-                    g = f ^ bit  # the walker's shift and prune steps
-                    g >>= (g & -g).bit_length()
+                    x = f ^ bit  # the walker's shift and prune steps
+                    g = norm.get(x)
+                    if g is None:
+                        g = x >> (x & -x).bit_length()
+                        if len(norm) < MEMO_ENTRIES:
+                            norm[x] = g
                     if g < low:
                         nodes += ways
                     elif fits or g in to or held + len(to) < MEMO_ENTRIES:

@@ -865,7 +865,8 @@ class TestMergedCount:
             assert (out.count, out.stats.nodes_expanded) == (6824, 227932)
 
     def test_memory_peak_nk2_10(self):
-        # 1.77 MB measured with Python 3.11: about 72 bytes a state.
+        # 1.12 MB measured with Pythons 3.10 to 3.13 (1.69-1.77 MB before
+        # each depth shared one int per child state): about 40 bytes a state.
         tracemalloc.start()
         try:
             out = search_nk2(10, 2, 1, "count")
@@ -873,7 +874,21 @@ class TestMergedCount:
         finally:
             tracemalloc.stop()
         assert out.count == 6824
-        assert peak < 2 * 1024 * 1024
+        assert peak < 1.4 * 1024 * 1024
+
+    def test_cap_bounds_the_memory(self, monkeypatch):
+        # A depth holds at most MEMO_ENTRIES new states.  At 1000, 0.16 MB
+        # measured with Pythons 3.10 to 3.13; a depth that let the children
+        # of 1000 states in, up to ten times as many, peaked at 0.29 MB.
+        monkeypatch.setattr(search, "MEMO_ENTRIES", 1000)
+        tracemalloc.start()
+        try:
+            out = search_nk2(10, 2, 1, "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.count, out.stats.nodes_expanded) == (6824, 227932)
+        assert peak < 230 * 1024
 
     @pytest.mark.parametrize("run", [
         partial(search_nk2, 9, 1, 1), partial(search_nk2, 9, 3, 1),
