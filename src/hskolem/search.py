@@ -244,15 +244,15 @@ def _pair_count(args):
     # states with that bit free.  A child g is pruned exactly when g < low,
     # the walker's rest.bit_length() > g.bit_length().  norm maps x = f ^ bit
     # to its child for one depth (x has 2j - 2 bits at j unused differences),
-    # so the shift runs once per x and the next rows share its ints.  A depth
-    # of at most MEMO_ENTRIES children (free), else a block that cannot fill
-    # it, skips the cap test.  No row is kept empty: the leaf row holds f == 0.
+    # so the shift runs once per x and the next rows share its ints.  A small
+    # depth (at most MEMO_ENTRIES children) and a block that fits skip the cap
+    # test.  No row is kept empty: the leaf row holds f == 0.
     f, diffs = args[:2]
     nodes = sols = 0
     level = {diffs: {f: 1}}
     while level:
         nxt, held, norm = {}, 0, {}
-        fits = free = sum(len(row) * d.bit_count() for d, row in level.items()) <= MEMO_ENTRIES
+        fits = small = sum(len(row) * d.bit_count() for d, row in level.items()) <= MEMO_ENTRIES
         for diffs, row in level.items():
             nodes += sum(row.values())
             if not diffs:
@@ -265,7 +265,7 @@ def _pair_count(args):
                 rest = diffs ^ bit
                 low = (1 << rest.bit_length()) >> 1
                 to = nxt.get(rest) or {}
-                if not free:  # the depth holds held + len(to) new states
+                if not small:  # the depth holds held + len(to) new states
                     held -= len(to)
                     fits = held + len(to) + len(row) <= MEMO_ENTRIES
                 for f, ways in row.items():

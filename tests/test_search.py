@@ -864,23 +864,17 @@ class TestMergedCount:
             out = search_nk2(10, 2, 1, "count", jobs=jobs)
             assert (out.count, out.stats.nodes_expanded) == (6824, 227932)
 
-    def test_memory_peak_nk2_10(self):
+    @pytest.mark.parametrize("cap, bound", [
         # 1.12 MB measured with Pythons 3.10 to 3.13 (1.69-1.77 MB before
         # each depth shared one int per child state): about 40 bytes a state.
-        tracemalloc.start()
-        try:
-            out = search_nk2(10, 2, 1, "count")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.count == 6824
-        assert peak < 1.4 * 1024 * 1024
-
-    def test_cap_bounds_the_memory(self, monkeypatch):
-        # A depth holds at most MEMO_ENTRIES new states.  At 1000, 0.16 MB
-        # measured with Pythons 3.10 to 3.13; a depth that let the children
-        # of 1000 states in, up to ten times as many, peaked at 0.29 MB.
-        monkeypatch.setattr(search, "MEMO_ENTRIES", 1000)
+        (search.MEMO_ENTRIES, 1.4 * 1024 * 1024),
+        # A depth holds at most the cap: 0.16 MB measured with Pythons 3.10
+        # to 3.13; a depth that let the children of 1000 states in, up to
+        # ten times as many, peaked at 0.29 MB.
+        (1000, 230 * 1024),
+    ], ids=["shipped-cap", "cap-1000"])
+    def test_memory_peak_nk2_10(self, monkeypatch, cap, bound):
+        monkeypatch.setattr(search, "MEMO_ENTRIES", cap)
         tracemalloc.start()
         try:
             out = search_nk2(10, 2, 1, "count")
@@ -888,7 +882,7 @@ class TestMergedCount:
         finally:
             tracemalloc.stop()
         assert (out.count, out.stats.nodes_expanded) == (6824, 227932)
-        assert peak < 230 * 1024
+        assert peak < bound
 
     @pytest.mark.parametrize("run", [
         partial(search_nk2, 9, 1, 1), partial(search_nk2, 9, 3, 1),
