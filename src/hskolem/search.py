@@ -49,17 +49,17 @@ The leaf that brings the solution count to the mode's stop (1 for exists
 and first, the limit for enumerate, none for count) raises a private
 _Stop, which the engine's solve function catches.
 
-One driver, _search, runs both engines on a bit mask of the root's
-choices.  With two or more choices, a stop of none or 1, and two or more
-workers allowed by jobs and by the CPUs this process may run on, each
-choice is one root task on a worker process.  Results merge whole in root
-order up to the task where the serial walk stops; so the outcome,
-nodes_expanded included, is the serial walk's for every jobs value.
-Otherwise _search makes the serial call, as for enumerate with a limit
-above 1 and for a merged pair walk, whose root tasks would merge states
-only within themselves; a pruned pair root is answered without a walk, and
-a graph whose count or exists memo root tasks would rebuild passes no
-choices.
+One driver, _search, runs both engines on a bit mask of the root's choices.
+With two or more choices, a stop of none or 1, and two or more workers
+allowed by jobs and by the CPUs this process may run on, each choice is one
+root task on a worker process, and results merge whole in root order up to
+the task where the serial walk stops: the outcome, nodes_expanded included,
+is the serial walk's at every jobs value.  Otherwise it makes the serial
+call.  A pair walk passes jobs on only with MERGED_COUNT_PAIRS pairs or
+more and not merged: a smaller one ends before a pool starts, and a merged
+one's tasks would merge states only within themselves.  A pruned pair root
+is answered without a walk, and a graph whose count or exists memo root
+tasks would rebuild passes no choices.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ DEFAULT_SEQUENCE_BOUND = 12
 # live at once) stop inserting at this many entries; lookups go on, and
 # results stay exact.
 MEMO_ENTRIES = 1 << 19
-MERGED_COUNT_PAIRS = 9  # a whole-tree pair walk with this many pairs or more merges states
+MERGED_COUNT_PAIRS = 9  # a big pair walk: a whole-tree one merges states, any other may pool
 _TOO_DEEP = "instance too large for the search's recursion depth"
 
 ProcessPoolExecutor = None  # bound on first parallel use: a slow import
@@ -299,13 +299,13 @@ def _pair_search(free, diffs, mode, limit, jobs, wrap) -> SearchOutcome:
     if diffs.bit_length() > f.bit_length():  # the prune test: the root is the one node
         return _search(lambda args: (0, [], 1), (), 0, mode, limit, jobs, wrap)
     big = diffs.bit_count() >= MERGED_COUNT_PAIRS  # tested first: small calls skip parity
-    if big and (mode == "count" or _parity_refutes(free, diffs)):
-        # One serial call; min keeps a bad jobs value for _stop_for to refuse.
-        out = _search(_pair_count, (f, diffs), f & diffs, mode, limit, min(jobs, 1), wrap)
-        if out.exists and mode != "count":
-            raise ContradictionDetected("search found a partition that the parity rule refutes")
-        return out
-    return _search(_pair_solve, (f, diffs, shift - 1), f & diffs, mode, limit, jobs, wrap)
+    merged = big and (mode == "count" or _parity_refutes(free, diffs))
+    # Only a big walk that is not merged may pool; a bad jobs still reaches _stop_for.
+    out = _search(_pair_count if merged else _pair_solve, (f, diffs, shift - 1), f & diffs,
+                  mode, limit, jobs if jobs < 2 or big and not merged else 1, wrap)
+    if merged and out.exists and mode != "count":
+        raise ContradictionDetected("search found a partition that the parity rule refutes")
+    return out
 
 
 def _parity_refutes(free, diffs) -> bool:

@@ -620,8 +620,10 @@ class TestColdProcess:
         assert proc.stdout == "18\n1-8 2-7 3-11 4-6 5-14 9-19 10-16 12-15 13-17\n"
 
     def test_sequence_output_identical_across_jobs(self):
-        argv = ["-m", "hskolem.cli", "search", "sequence", "--kind", "hooked",
-                "--m", "6", "--d", "3", "--mode", "enumerate", "--jobs"]
+        # Skolem m = 9 has MERGED_COUNT_PAIRS pairs and a solution, so first
+        # at --jobs 2 hands its root tasks to the pool on two or more CPUs.
+        argv = ["-m", "hskolem.cli", "search", "sequence", "--kind", "skolem",
+                "--m", "9", "--mode", "first", "--jobs"]
         serial, parallel = run_fresh(*argv, "1"), run_fresh(*argv, "2")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout and parallel.stdout == serial.stdout

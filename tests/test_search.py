@@ -80,6 +80,14 @@ def lazy_pool(monkeypatch):
     return ran
 
 
+def pool_every_pair_walk(monkeypatch):
+    """Make every pair walk big and let the parity rule refute none, so that
+    each one but a count hands its root tasks to the pool: a small walk
+    makes the serial call at every jobs value."""
+    monkeypatch.setattr(search, "MERGED_COUNT_PAIRS", 1)
+    monkeypatch.setattr(search, "_parity_refutes", lambda free, diffs: False)
+
+
 def outcome(out):
     return out.exists, out.count, out.solutions, out.stats.nodes_expanded
 
@@ -340,7 +348,9 @@ def pair_instances():
 
 class TestCountAgreesWithEnumerate:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_count_and_exists(self, jobs):
+    def test_count_and_exists(self, monkeypatch, lazy_pool, jobs):
+        if jobs == 2:  # root tasks in this process, merged lazily
+            pool_every_pair_walk(monkeypatch)
         for name, run in pair_instances():
             count = run("count", jobs=jobs)
             exists = run("exists", jobs=jobs)
@@ -350,6 +360,7 @@ class TestCountAgreesWithEnumerate:
             if count.count == 0:
                 assert (exists.stats.nodes_expanded
                         == count.stats.nodes_expanded), name
+        assert bool(lazy_pool) == (jobs == 2)
 
 
 class TestPairEnumeratePinned:
@@ -359,7 +370,9 @@ class TestPairEnumeratePinned:
     DIGEST = "759a0283fecfa9d185fa30b01066e77301f0f80ebfd7bafcfccf19a9c7841d9c"
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_digest(self, jobs):
+    def test_digest(self, monkeypatch, lazy_pool, jobs):
+        if jobs == 2:  # root tasks in this process, merged lazily
+            pool_every_pair_walk(monkeypatch)
         digest = hashlib.sha256()
         for name, run in pair_instances():
             out = run("enumerate", jobs=jobs)
@@ -367,6 +380,7 @@ class TestPairEnumeratePinned:
                     for sol in out.solutions]
             digest.update(f"{name} {out.stats.nodes_expanded} {sols}\n".encode())
         assert digest.hexdigest() == self.DIGEST
+        assert bool(lazy_pool) == (jobs == 2)
 
 
 class TestCountKeepsAnInteger:
@@ -678,18 +692,37 @@ class TestNodesAcrossJobs:
     # parallel merge counts it once, taking each task whole up to the task
     # where the serial walk stops.  Only stops of none and 1 go to the
     # pool; enumerate with a limit above 1 makes the serial call, and a
-    # pair root that fails the prune test is answered with no walk.
+    # pair root that fails the prune test is answered with no walk.  A
+    # pair walk reaches the pool only with MERGED_COUNT_PAIRS pairs or more
+    # and when it is not merged (a count, or refuted by the parity rule).
     # TestGraphMemo checks the graph engine's count against its oracle for
     # both jobs values.
     @pytest.mark.parametrize("mode, limit", [
         ("exists", None), ("first", None), ("count", None),
         ("enumerate", None), ("enumerate", 1), ("enumerate", 3),
     ], ids=["exists", "first", "count", "enumerate", "enumerate-1", "enumerate-3"])
-    def test_pair_instances(self, monkeypatch, mode, limit):
-        # Two usable CPUs, so that the root tasks go to a pool on any host.
-        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        for name, run in pair_instances():
-            assert outcome(run(mode, limit, jobs=2)) == outcome(run(mode, limit)), name
+    def test_pair_instances(self, monkeypatch, lazy_pool, mode, limit):
+        # Two usable CPUs and root tasks in this process, merged lazily.
+        serial = [outcome(run(mode, limit)) for _, run in pair_instances()]
+        pool_every_pair_walk(monkeypatch)
+        for (name, run), out in zip(pair_instances(), serial):
+            assert outcome(run(mode, limit, jobs=2)) == out, name
+        assert bool(lazy_pool) == (mode != "count" and limit in (None, 1))
+
+    def test_only_big_walks_that_are_not_merged_reach_the_pool(self, monkeypatch, lazy_pool):
+        # Two usable CPUs, and a pool that raises if started: every small
+        # walk, in every mode, and the merged nK2 (10,2,1) count and Skolem
+        # m = 11 first, which the parity rule refutes, make the serial call.
+        pool = search.ProcessPoolExecutor
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        calls = [(name, run, mode) for name, run, _, _ in pair_trees() for mode in search.MODES]
+        calls += [("nk2 10 2 1", partial(search_nk2, 10, 2, 1), "count"),
+                  ("skolem 11", partial(search_skolem, 11), "first")]
+        for name, run, mode in calls:
+            assert outcome(run(mode, jobs=2)) == outcome(run(mode)), (name, mode)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", pool)
+        search_skolem(12, "first", jobs=2)  # big and not merged
+        assert lazy_pool
 
     def test_pinned_trees(self):
         assert search_nk2(10, 2, 1, "count", jobs=2).stats.nodes_expanded == 227932
@@ -761,16 +794,18 @@ class TestNodesAcrossJobs:
     ], ids=["hooked-2-1", "hooked-2-2", "hooked-3-2", "nk2-2-2-1"])
     def test_one_root_choice_starts_no_pool(self, monkeypatch, run):
         # A root with one choice makes one task, which walks the serial tree.
-        serial = run("count")
+        serial = outcome(run("enumerate"))
+        monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
-        parallel = run("count", jobs=2)
-        assert ((parallel.count, parallel.stats.nodes_expanded)
-                == (serial.count, serial.stats.nodes_expanded))
+        pool_every_pair_walk(monkeypatch)
+        assert outcome(run("enumerate", jobs=2)) == serial
+        assert serial[3] > 1  # a walk, not a pruned root
 
 
 class TestOneUsableCpu:
     # On one usable CPU jobs > 1 makes the serial call and starts no pool;
-    # the pool path, run on threads here, merges to the same outcome.
+    # the pool path, run on threads here, merges to the same outcome.  The
+    # pair instances are made big, so that all but a count reach the pool.
     @pytest.mark.parametrize("mode", search.MODES)
     @pytest.mark.parametrize("run", [
         partial(search_nk2, 7, 2, 1),
@@ -779,6 +814,7 @@ class TestOneUsableCpu:
     ], ids=["nk2-7-2-1", "skolem-8", "path9-1-1"])
     def test_runs_the_serial_walk(self, monkeypatch, run, mode):
         serial = outcome(run(mode))
+        pool_every_pair_walk(monkeypatch)
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(search, "ProcessPoolExecutor", ThreadPoolExecutor)
         pooled = outcome(run(mode, jobs=2))
@@ -808,8 +844,7 @@ def pair_trees():
 
 class TestPairTreeOracle:
     # count-mode nodes_expanded is the size of the plain tree, for every
-    # jobs value: every state reached counts once, and the parallel merge
-    # counts the root once, though every root task enters it.
+    # jobs value: every state reached counts once.
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_count_nodes_are_the_plain_tree(self, jobs):
         checked = 0
@@ -839,12 +874,17 @@ class TestMergedCount:
     def test_pair_trees(self, monkeypatch, jobs, cap):
         # Every instance merges, with two usable CPUs and a pool that raises
         # if started.  A full level walks each new state at once; at a cap
-        # of 100 some such states are reached by more than one path.
+        # of 100 some such states are reached by more than one path.  Each
+        # time, the depth being built and its child map hold at most the cap.
         walked = []
         walk = search._pair_walk
 
         def record(*args):
-            walked.append(args[:2])
+            if sys._getframe(1).f_code is search._pair_solve.__code__:  # walked at once
+                depth = sys._getframe(2).f_locals  # _pair_count's
+                assert len(depth["norm"]) <= cap
+                assert depth["held"] + len(depth["to"]) <= cap
+                walked.append(args[:2])
             walk(*args)
 
         monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -966,7 +1006,8 @@ class TestPairWalkEntersNoPrunedState:
     # child without entering it.  The recursion goes through the module
     # global, so the wrapper sees every entered state; root tasks run in
     # this process, lazily in root order, so that it sees theirs too and
-    # no task runs past the answer.
+    # no task runs past the answer.  At jobs 2 every walk but a count, which
+    # never reaches the pool, is made big so that its root tasks run.
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("mode", search.MODES)
     @pytest.mark.parametrize("run", [
@@ -981,11 +1022,15 @@ class TestPairWalkEntersNoPrunedState:
             entered.append((f, diffs))
             walk(f, diffs, *rest)
 
+        pooled = jobs == 2 and mode != "count"
+        if pooled:
+            pool_every_pair_walk(monkeypatch)
         monkeypatch.setattr(search, "_pair_walk", record)
         out = run(mode, jobs=jobs)
         assert [(f, diffs) for f, diffs in entered
                 if diffs.bit_length() > f.bit_length()] == []
         assert 0 < len(entered) < out.stats.nodes_expanded
+        assert bool(lazy_pool) == pooled
 
 
 class TestSurvey:
